@@ -227,8 +227,9 @@ AnalysisCell::buildProfile(const Metrics &M) {
     P->Relations.push_back(std::move(Row));
   }
 
-  // Points-to set census — the hash-consing scouting report (ROADMAP item
-  // 5). Package shares use the paper's Figure 5 attribution prefixes; the
+  // Points-to set census — how much interning equal sets would still
+  // save (ROADMAP item 2); `SetBytes` is the sets' real u32 footprint.
+  // Package shares use the paper's Figure 5 attribution prefixes; the
   // `java.util` elephants show up here.
   P->Census = Solver_->censusPointsTo(
       {"java.util", "java.lang", "java.io", "javax", "org", "com"});

@@ -14,11 +14,11 @@
 ///     counters plus planner estimated-vs-actual fanout and wall time, and
 ///     per-relation tuple/byte accounting, aggregated into top-K "hot
 ///     rules / hot relations" tables.
-///  2. **Points-to set census** — at fixpoint, every var's points-to set is
-///     hashed canonically to count distinct vs total sets, a size
-///     histogram, and the bytes a hash-consing pass would reclaim (the
-///     scouting report for ROADMAP item 5; the paper's `java.util`
-///     elephants light up in the package shares).
+///  2. **Points-to set census** — at fixpoint, every var's (sorted)
+///     points-to set is grouped by contents to count distinct vs total
+///     sets, a size histogram, the sets' u32 footprint, and the bytes
+///     interning equal sets would reclaim (ROADMAP item 2; the paper's
+///     `java.util` elephants light up in the package shares).
 ///  3. **JSONL event sink** — a shared append-only event log that tracer
 ///     spans, metrics snapshots, and matrix-driver per-cell heartbeats all
 ///     write through, so long corpus runs are observable in flight.
@@ -96,7 +96,7 @@ struct ProfileCensus {
   uint64_t DistinctSets = 0;    ///< distinct set contents among those
   uint64_t TotalEntries = 0;    ///< sum of set sizes
   uint64_t DistinctEntries = 0; ///< sum of sizes over distinct sets
-  uint64_t SetBytes = 0;        ///< TotalEntries * sizeof(entry)
+  uint64_t SetBytes = 0;        ///< TotalEntries * 4: the sets' u32 footprint
   uint64_t ReclaimableBytes = 0; ///< SetBytes share hash-consing removes
   uint64_t MaxSetSize = 0;
   /// Power-of-two set-size histogram: bucket 0 counts size-1 sets, bucket

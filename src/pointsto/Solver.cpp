@@ -11,7 +11,6 @@
 #include "support/WorkQueue.h"
 
 #include <algorithm>
-#include <map>
 #include <string_view>
 #include <thread>
 
@@ -35,6 +34,51 @@ unsigned resolveSolverThreads(unsigned Requested) {
 /// scheduling decision — both paths execute the identical staged algorithm
 /// in the identical order.
 constexpr size_t ParallelRoundThreshold = 128;
+
+/// Scrambles a packed key for the open-addressing tables (MurmurHash3's
+/// 64-bit finalizer): ids are dense, so their low bits alone cluster.
+uint64_t mixBits(uint64_t H) {
+  H ^= H >> 33;
+  H *= 0xff51afd7ed558ccdULL;
+  H ^= H >> 33;
+  H *= 0xc4ceb9fe1a85ec53ULL;
+  H ^= H >> 33;
+  return H;
+}
+
+/// A set of dense ids (alloc sites, values) emptied in O(1) by bumping an
+/// epoch. Per thread, so concurrent queries, and the gather tasks of one
+/// round, never share one.
+class StampSet {
+public:
+  /// Empties the set and sizes it for ids below \p Universe.
+  void reset(size_t Universe) {
+    if (Stamps.size() < Universe)
+      Stamps.resize(Universe, 0);
+    if (++Epoch == 0) { // wrapped: old stamps could alias the new epoch
+      std::fill(Stamps.begin(), Stamps.end(), 0);
+      Epoch = 1;
+    }
+  }
+  /// \returns true if \p Id was not in the set.
+  bool insert(uint32_t Id) {
+    if (Stamps[Id] == Epoch)
+      return false;
+    Stamps[Id] = Epoch;
+    return true;
+  }
+
+private:
+  std::vector<uint32_t> Stamps;
+  uint32_t Epoch = 0;
+};
+
+/// This thread's stamp set, emptied, for ids below \p Universe.
+StampSet &emptyStampSet(size_t Universe) {
+  thread_local StampSet Set;
+  Set.reset(Universe);
+  return Set;
+}
 
 } // namespace
 
@@ -60,22 +104,39 @@ ValueId Solver::internValue(AllocSiteId Site, CtxId HeapCtx) {
   return ValueId(Index);
 }
 
-NodeId Solver::internNode(NodeKind Kind, uint32_t A, uint32_t B) {
-  uint64_t Hash =
-      hashCombine(hashCombine(static_cast<size_t>(Kind), A), B);
-  std::vector<uint32_t> &Bucket = NodeBuckets[Hash];
-  for (uint32_t Candidate : Bucket) {
-    const Node &N = Nodes[Candidate];
+size_t Solver::nodeSlot(NodeKind Kind, uint32_t A, uint32_t B) const {
+  const size_t Mask = NodeSlots.size() - 1;
+  for (size_t I = mixBits(packPair(A, B) ^ (uint64_t(Kind) << 59)) & Mask;;
+       I = (I + 1) & Mask) {
+    const uint32_t Index = NodeSlots[I];
+    if (Index == EmptySlot)
+      return I;
+    const Node &N = Nodes[Index];
     if (N.Kind == Kind && N.A == A && N.B == B)
-      return NodeId(Candidate);
+      return I;
   }
+}
+
+NodeId Solver::internNode(NodeKind Kind, uint32_t A, uint32_t B) {
+  if ((Nodes.size() + 1) * 2 > NodeSlots.size()) {
+    std::vector<uint32_t> Old(std::max<size_t>(NodeSlots.size() * 2, 1024),
+                              EmptySlot);
+    Old.swap(NodeSlots);
+    for (uint32_t Index : Old)
+      if (Index != EmptySlot) {
+        const Node &N = Nodes[Index];
+        NodeSlots[nodeSlot(N.Kind, N.A, N.B)] = Index;
+      }
+  }
+  uint32_t &Slot = NodeSlots[nodeSlot(Kind, A, B)];
+  if (Slot != EmptySlot)
+    return NodeId(Slot);
   uint32_t Index = static_cast<uint32_t>(Nodes.size());
+  Slot = Index;
   Nodes.push_back({Kind, A, B});
   PointsTo.emplace_back();
   Edges.emplace_back();
-  EdgeDedup.emplace_back();
   Reactions.emplace_back();
-  Bucket.push_back(Index);
 
   if (Kind == NodeKind::Var) {
     if (A >= VarNodes.size())
@@ -125,22 +186,56 @@ bool Solver::passesFilter(ValueId V, TypeId Filter) const {
   return P.isSubtype(valueType(V), Filter);
 }
 
+bool Solver::EdgeSet::insert(NodeId From, NodeId To, TypeId Filter) {
+  if ((Count + 1) * 4 > Slots.size() * 3)
+    grow();
+  return insertKey({From.rawValue(), To.rawValue(), Filter.rawValue()});
+}
+
+bool Solver::EdgeSet::insertKey(Key New) {
+  const size_t Mask = Slots.size() - 1;
+  const uint64_t H = mixBits(packPair(New.From, New.To) ^
+                             (uint64_t(New.Filter) * 0x9e3779b97f4a7c15ULL));
+  for (size_t I = H & Mask;; I = (I + 1) & Mask) {
+    Key &K = Slots[I];
+    if (K.From == Empty) {
+      K = New;
+      ++Count;
+      return true;
+    }
+    if (K.From == New.From && K.To == New.To && K.Filter == New.Filter)
+      return false;
+  }
+}
+
+void Solver::EdgeSet::grow() {
+  std::vector<Key> Old(std::max<size_t>(Slots.size() * 2, 1024));
+  Old.swap(Slots);
+  Count = 0;
+  for (const Key &K : Old)
+    if (K.From != Empty)
+      insertKey(K);
+}
+
 void Solver::propagate(NodeId N, ValueId V) {
-  if (PointsTo[N.index()].insert(V.rawValue()))
-    Shards[shardOf(N)].Pending.push_back({N, V});
+  // Sets mutate only in the merge step, so this only queues V; the set
+  // check just keeps known values out of the buffer.
+  const std::vector<uint32_t> &Set = PointsTo[N.index()];
+  if (!std::binary_search(Set.begin(), Set.end(), V.rawValue()))
+    Shards[shardOf(N)].Incoming.push_back(
+        packPair(N.rawValue(), V.rawValue()));
 }
 
 void Solver::addEdge(NodeId From, NodeId To, TypeId Filter) {
-  uint64_t Key = packPair(To.rawValue(), Filter.rawValue());
-  if (!EdgeDedup[From.index()].insert(Key).second)
+  if (!EdgeKeys.insert(From, To, Filter))
     return;
   Edges[From.index()].push_back({To, Filter});
   ++SolverStats.EdgesAdded;
-  // Replay the current set through the new edge (snapshot the size; values
-  // added meanwhile flow via the worklist). Re-index every iteration: the
-  // outer tables reallocate when propagation interns new nodes.
-  for (size_t I = 0, E = PointsTo[From.index()].size(); I != E; ++I) {
-    ValueId V(PointsTo[From.index()][I]);
+  // Replay the current set through the new edge; values arriving later
+  // flow through it as deltas. `propagate` neither interns nor mutates
+  // sets, so the reference stays valid even for a self-edge.
+  for (uint32_t Raw : PointsTo[From.index()]) {
+    ValueId V(Raw);
     if (passesFilter(V, Filter))
       propagate(To, V);
   }
@@ -148,6 +243,8 @@ void Solver::addEdge(NodeId From, NodeId To, TypeId Filter) {
 
 void Solver::addReaction(NodeId N, Reaction R) {
   Reactions[N.index()].push_back(R);
+  // Re-index every iteration: reactions intern nodes, which reallocates
+  // the outer table (the set itself cannot change before the next merge).
   for (size_t I = 0, E = PointsTo[N.index()].size(); I != E; ++I)
     applyReaction(R, ValueId(PointsTo[N.index()][I]));
 }
@@ -334,104 +431,174 @@ void Solver::seedObjectField(ValueId Base, FieldId F, ValueId V) {
   propagate(fieldNode(Base, F), V);
 }
 
-void Solver::phaseShard(uint32_t ShardIndex) {
-  // Read-only over the frozen solver state: points-to sets, edges,
-  // reactions, values and the program are mutated only at the barrier, so
-  // concurrent phase workers never race. Staging is source-shard-local.
+void Solver::mergeShard(uint32_t ShardIndex) {
+  // Only this task touches the shard's incoming buffer, deltas, and the
+  // sets of its nodes, so concurrent merges cannot race. The outcome
+  // depends only on the incoming *multiset*, never on its order. Every
+  // appender checked membership, and sets change only here, so after
+  // dedup each incoming value is new: a node's run is its delta.
   Shard &S = Shards[ShardIndex];
-  for (const WorkItem &Item : S.Current) {
-    const uint32_t NIdx = Item.N.index();
-    const ValueId V = Item.V;
-    for (const Edge &E : Edges[NIdx]) {
-      if (!passesFilter(V, E.Filter))
-        continue;
-      // Frozen-state dedup: moves the membership hash probe into the
-      // parallel phase. A stale miss just re-checks at the merge.
-      if (PointsTo[E.Target.index()].contains(V.rawValue()))
-        continue;
-      S.StagedProps[shardOf(E.Target)].push_back({E.Target, V});
+  S.Deltas.clear();
+  S.DeltaValues.clear();
+  std::vector<uint64_t> &In = S.Incoming;
+  std::sort(In.begin(), In.end());
+  In.erase(std::unique(In.begin(), In.end()), In.end());
+  for (size_t I = 0, E = In.size(); I != E;) {
+    const uint32_t NIdx = static_cast<uint32_t>(In[I] >> 32);
+    const uint32_t Begin = static_cast<uint32_t>(S.DeltaValues.size());
+    for (; I != E && static_cast<uint32_t>(In[I] >> 32) == NIdx; ++I)
+      S.DeltaValues.push_back(static_cast<uint32_t>(In[I]));
+    const uint32_t Size =
+        static_cast<uint32_t>(S.DeltaValues.size()) - Begin;
+    S.Deltas.push_back({NodeId(NIdx), Begin, Size});
+    // Union in place, merging from the back.
+    std::vector<uint32_t> &Set = PointsTo[NIdx];
+    const uint32_t *New = S.DeltaValues.data() + Begin;
+    size_t Old = Set.size(), Add = Size;
+    Set.resize(Old + Add);
+    for (size_t Out = Old + Add; Add != 0;) {
+      if (Old != 0 && Set[Old - 1] > New[Add - 1])
+        Set[--Out] = Set[--Old];
+      else
+        Set[--Out] = New[--Add];
     }
-    for (const Reaction &R : Reactions[NIdx])
-      S.StagedReactions.push_back({R, V});
-    if (Nodes[NIdx].Kind == NodeKind::CatchDispatch)
-      S.StagedCatches.push_back({CMethodId(Nodes[NIdx].A), V});
   }
-  S.PhaseItems = S.Current.size();
+  // Release rather than clear: shards peak in different rounds, and kept
+  // capacities would add up across all 64 of them.
+  std::vector<uint64_t>().swap(In);
+  S.TotalItems += S.DeltaValues.size();
 }
 
-void Solver::mergeShard(uint32_t ShardIndex) {
-  // Applies every staged propagation targeting this shard in canonical
-  // source-shard-major order. Only this task touches the shard's points-to
-  // entries and Pending queue, so running all merges concurrently yields
-  // the same state as running them sequentially.
-  for (uint32_t Src = 0; Src != NumShards; ++Src) {
-    std::vector<WorkItem> &Bucket = Shards[Src].StagedProps[ShardIndex];
-    for (const WorkItem &Item : Bucket)
-      propagate(Item.N, Item.V);
+void Solver::phaseShard(uint32_t ShardIndex) {
+  // Read-only over the frozen solver state: sets, edges, reactions and
+  // nodes change only in the merge and at the barrier. Staging is
+  // source-shard-local.
+  Shard &S = Shards[ShardIndex];
+  for (uint32_t D = 0, E = static_cast<uint32_t>(S.Deltas.size()); D != E;
+       ++D) {
+    const uint32_t NIdx = S.Deltas[D].N.index();
+    for (const Edge &Out : Edges[NIdx])
+      S.StagedRefs[shardOf(Out.Target)].push_back(
+          {Out.Target.index(), ShardIndex, D, Out.Filter});
+    const uint32_t Count = static_cast<uint32_t>(Reactions[NIdx].size());
+    if (Count != 0 || Nodes[NIdx].Kind == NodeKind::CatchDispatch)
+      S.Firings.push_back({D, Count});
+  }
+}
+
+void Solver::gatherShard(uint32_t ShardIndex) {
+  // Appends only to this shard's incoming buffer and reads frozen deltas
+  // and sets. References are grouped by target node so a value reaching
+  // one target from several sources is queued once; values the target
+  // already holds are dropped here, in parallel, instead of in the merge.
+  Shard &T = Shards[ShardIndex];
+  std::vector<StagedRef> Refs;
+  for (Shard &Src : Shards) {
+    std::vector<StagedRef> &Bucket = Src.StagedRefs[ShardIndex];
+    Refs.insert(Refs.end(), Bucket.begin(), Bucket.end());
     Bucket.clear();
+  }
+  std::sort(Refs.begin(), Refs.end(),
+            [](const StagedRef &A, const StagedRef &B) {
+              return A.Target < B.Target;
+            });
+  for (size_t I = 0, E = Refs.size(); I != E;) {
+    const uint32_t Target = Refs[I].Target;
+    const std::vector<uint32_t> &Set = PointsTo[Target];
+    StampSet &Seen = emptyStampSet(Values.size());
+    for (; I != E && Refs[I].Target == Target; ++I) {
+      const Shard &Src = Shards[Refs[I].Shard];
+      const Delta &D = Src.Deltas[Refs[I].Source];
+      const uint32_t *Vals = Src.DeltaValues.data() + D.Begin;
+      for (uint32_t K = 0; K != D.Size; ++K) {
+        const uint32_t V = Vals[K];
+        if (passesFilter(ValueId(V), Refs[I].Filter) && Seen.insert(V) &&
+            !std::binary_search(Set.begin(), Set.end(), V))
+          T.Incoming.push_back(packPair(Target, V));
+      }
+    }
+  }
+}
+
+void Solver::applyBarrier() {
+  // Reactions and catch dispatches intern nodes/values/contexts and grow
+  // the call graph (`wireCall`, `processBody`) — exactly the state the
+  // parallel steps freeze — so all of it happens here, single-threaded, in
+  // canonical shard order. Every `propagate` only appends to an incoming
+  // buffer, so the deltas and sets read here stay put.
+  for (Shard &S : Shards) {
+    for (const StagedFiring &F : S.Firings) {
+      const Delta D = S.Deltas[F.Source];
+      const uint32_t *Values = S.DeltaValues.data() + D.Begin;
+      for (uint32_t R = 0; R != F.Reactions; ++R) {
+        // Copy: firing may add reactions to this node and reallocate.
+        const Reaction Fired = Reactions[D.N.index()][R];
+        for (uint32_t I = 0; I != D.Size; ++I)
+          applyReaction(Fired, ValueId(Values[I]));
+        SolverStats.ReactionsRun += D.Size;
+      }
+      if (Nodes[D.N.index()].Kind == NodeKind::CatchDispatch)
+        for (uint32_t I = 0; I != D.Size; ++I)
+          dispatchCatch(CMethodId(Nodes[D.N.index()].A), ValueId(Values[I]));
+    }
+    S.Firings.clear();
   }
 }
 
 bool Solver::hasPendingWork() const {
   for (const Shard &S : Shards)
-    if (!S.Pending.empty())
+    if (!S.Incoming.empty())
       return true;
   return false;
 }
 
 void Solver::drainWorklist() {
   while (true) {
-    // Admit: this round consumes everything discovered so far.
-    size_t Total = 0;
-    for (Shard &S : Shards) {
-      S.Current.clear();
-      std::swap(S.Current, S.Pending);
-      Total += S.Current.size();
-    }
-    if (Total == 0)
+    size_t Incoming = 0;
+    for (const Shard &S : Shards)
+      Incoming += S.Incoming.size();
+    if (Incoming == 0)
       break;
-    ++SolverStats.Rounds;
-    SolverStats.WorkItems += Total;
 
+    // Every step runs the identical algorithm in the identical order
+    // whether inline or on the pool; only the scheduling differs.
     const bool Parallel =
-        Config.Threads > 1 && Total >= ParallelRoundThreshold;
-    if (Parallel) {
-      if (!Pool)
-        Pool = std::make_unique<WorkerPool>(
-            std::min(Config.Threads, NumShards));
-      ++ParallelRounds;
-      const unsigned Workers = Pool->workerCount();
-      Pool->runBatch(NumShards, [this, Workers](uint32_t Task,
-                                                unsigned Worker) {
-        if (Task % Workers != Worker)
-          ++Shards[Task].Steals;
-        phaseShard(Task);
-      });
-      Pool->runBatch(NumShards,
-                     [this](uint32_t Task, unsigned) { mergeShard(Task); });
-    } else {
-      for (uint32_t I = 0; I != NumShards; ++I)
-        phaseShard(I);
-      for (uint32_t I = 0; I != NumShards; ++I)
-        mergeShard(I);
-    }
+        Config.Threads > 1 && Incoming >= ParallelRoundThreshold;
+    if (Parallel && !Pool)
+      Pool = std::make_unique<WorkerPool>(std::min(Config.Threads, NumShards));
+    const unsigned Workers = Parallel ? Pool->workerCount() : 1;
+    auto Step = [&](auto &&Fn) {
+      if (Parallel)
+        Pool->runBatch(NumShards, Fn);
+      else
+        for (uint32_t I = 0; I != NumShards; ++I)
+          Fn(I, 0u);
+    };
 
-    // Barrier: apply staged reactions and catch dispatches sequentially in
-    // canonical shard order. These intern nodes/values/contexts and grow
-    // the call graph (`wireCall`, `processBody`), which is exactly the
-    // state the phase freezes — so all of it happens here, single-threaded,
-    // in an order no scheduler can perturb.
-    for (Shard &S : Shards) {
-      S.TotalItems += S.PhaseItems;
-      for (const StagedReaction &SR : S.StagedReactions) {
-        ++SolverStats.ReactionsRun;
-        applyReaction(SR.R, SR.V);
-      }
-      S.StagedReactions.clear();
-      for (const StagedCatch &SC : S.StagedCatches)
-        dispatchCatch(SC.CM, SC.V);
-      S.StagedCatches.clear();
-    }
+    Step([this](uint32_t I, unsigned) { mergeShard(I); });
+    ++SolverStats.Rounds;
+    for (const Shard &S : Shards)
+      SolverStats.WorkItems += S.DeltaValues.size();
+    ParallelRounds += Parallel;
+
+    Step([&](uint32_t I, unsigned Worker) {
+      if (I % Workers != Worker)
+        ++Shards[I].Steals;
+      phaseShard(I);
+    });
+    Step([this](uint32_t I, unsigned) { gatherShard(I); });
+    applyBarrier();
+  }
+}
+
+void Solver::releaseRoundArenas() {
+  for (Shard &S : Shards) {
+    S.Incoming = {};
+    S.Deltas = {};
+    S.DeltaValues = {};
+    for (std::vector<StagedRef> &Bucket : S.StagedRefs)
+      Bucket = {};
+    S.Firings = {};
   }
 }
 
@@ -449,6 +616,7 @@ void Solver::solve() {
     if (!Changed && !hasPendingWork())
       break;
   }
+  releaseRoundArenas();
   publishMetrics();
 }
 
@@ -488,20 +656,17 @@ const std::vector<NodeId> &Solver::varInstances(VarId Var) const {
 }
 
 std::vector<AllocSiteId> Solver::varPointsToSites(VarId Var) const {
-  InsertOrderSet<uint32_t> Sites;
-  for (NodeId N : varInstances(Var))
-    for (uint32_t Raw : PointsTo[N.index()])
-      Sites.insert(Values[ValueId(Raw).index()].Site.rawValue());
+  StampSet &Sites = emptyStampSet(P.allocSiteCount());
   std::vector<AllocSiteId> Result;
-  Result.reserve(Sites.size());
-  for (uint32_t Raw : Sites)
-    Result.push_back(AllocSiteId(Raw));
+  for (NodeId N : varInstances(Var))
+    for (uint32_t Raw : PointsTo[N.index()]) {
+      AllocSiteId Site = Values[Raw].Site;
+      if (Sites.insert(Site.index()))
+        Result.push_back(Site);
+    }
   // Canonical order: equal site sets compare equal even when propagation
   // reached them along different round schedules.
-  std::sort(Result.begin(), Result.end(),
-            [](AllocSiteId A, AllocSiteId B) {
-              return A.rawValue() < B.rawValue();
-            });
+  std::sort(Result.begin(), Result.end());
   return Result;
 }
 
@@ -542,44 +707,41 @@ uint64_t Solver::varPointsToTuplesTotal() const {
 double Solver::averageVarPointsTo(bool AppOnly) const {
   // Context-insensitive projection per variable, averaged over variables
   // that point to at least one object.
-  std::unordered_map<uint32_t, InsertOrderSet<uint32_t>> PerVar;
-  for (size_t I = 0, E = Nodes.size(); I != E; ++I) {
-    if (Nodes[I].Kind != NodeKind::Var || PointsTo[I].empty())
+  uint64_t Sum = 0, Pointing = 0;
+  for (uint32_t VI = 0, VE = static_cast<uint32_t>(VarNodes.size());
+       VI != VE; ++VI) {
+    if (VarNodes[VI].empty())
       continue;
-    VarId Var(Nodes[I].A);
     if (AppOnly) {
       TypeId Declaring =
-          P.method(P.variable(Var).DeclaringMethod).DeclaringType;
+          P.method(P.variable(VarId(VI)).DeclaringMethod).DeclaringType;
       if (!P.type(Declaring).IsApplication)
         continue;
     }
-    InsertOrderSet<uint32_t> &Sites = PerVar[Var.index()];
-    for (uint32_t Raw : PointsTo[I])
-      Sites.insert(Values[ValueId(Raw).index()].Site.rawValue());
+    StampSet &Sites = emptyStampSet(P.allocSiteCount());
+    uint64_t Distinct = 0;
+    for (NodeId N : VarNodes[VI])
+      for (uint32_t Raw : PointsTo[N.index()])
+        Distinct += Sites.insert(Values[Raw].Site.index());
+    Sum += Distinct;
+    Pointing += Distinct != 0;
   }
-  if (PerVar.empty())
+  if (Pointing == 0)
     return 0.0;
-  uint64_t Sum = 0;
-  for (const auto &[VarIndex, Sites] : PerVar)
-    Sum += Sites.size();
-  return static_cast<double>(Sum) / static_cast<double>(PerVar.size());
+  return static_cast<double>(Sum) / static_cast<double>(Pointing);
 }
 
 observe::ProfileCensus Solver::censusPointsTo(
     const std::vector<std::string> &PackagePrefixes) const {
   observe::ProfileCensus C;
-  // Exact distinct-set accounting: the canonical (sorted) contents are the
-  // map key, so equal sets compare equal regardless of the insertion order
-  // propagation produced, and there are no hash-collision undercounts. An
-  // ordered map keeps the walk allocation-bounded by the distinct count —
-  // which is the whole point of the census being small.
-  std::map<std::vector<uint32_t>, uint64_t> Distinct;
-  std::vector<uint32_t> Key;
+  // Exact distinct-set accounting: sets are sorted, so equal contents are
+  // equal vectors and sorting pointers to them groups the duplicates.
+  std::vector<const std::vector<uint32_t> *> Sets;
   for (size_t I = 0, E = Nodes.size(); I != E; ++I) {
     if (Nodes[I].Kind != NodeKind::Var)
       continue;
     ++C.VarNodes;
-    const InsertOrderSet<uint32_t> &Set = PointsTo[I];
+    const std::vector<uint32_t> &Set = PointsTo[I];
     if (Set.empty())
       continue;
     ++C.NonEmptySets;
@@ -591,13 +753,17 @@ observe::ProfileCensus Solver::censusPointsTo(
     if (C.Histogram.size() <= Bucket)
       C.Histogram.resize(Bucket + 1, 0);
     ++C.Histogram[Bucket];
-    Key.assign(Set.begin(), Set.end());
-    std::sort(Key.begin(), Key.end());
-    ++Distinct[Key];
+    Sets.push_back(&Set);
   }
-  C.DistinctSets = Distinct.size();
-  for (const auto &[Contents, Occurrences] : Distinct)
-    C.DistinctEntries += Contents.size();
+  std::sort(Sets.begin(), Sets.end(),
+            [](const std::vector<uint32_t> *A, const std::vector<uint32_t> *B) {
+              return *A < *B;
+            });
+  for (size_t I = 0, E = Sets.size(); I != E; ++I)
+    if (I == 0 || *Sets[I] != *Sets[I - 1]) {
+      ++C.DistinctSets;
+      C.DistinctEntries += Sets[I]->size();
+    }
   C.SetBytes = C.TotalEntries * sizeof(uint32_t);
   C.ReclaimableBytes =
       (C.TotalEntries - C.DistinctEntries) * sizeof(uint32_t);

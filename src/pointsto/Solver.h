@@ -29,15 +29,31 @@
 /// precision (Section 4 of the paper): the receiver is an internal TreeNode
 /// allocation, so the context no longer distinguishes the map's clients.
 ///
-/// The worklist drain is *sharded and bulk-synchronous* (DESIGN.md §11):
-/// work items are bucketed into a fixed number of node shards, and each
-/// round runs a read-only parallel propagation phase over source shards, a
-/// parallel-but-deterministic per-target-shard merge, and a sequential
-/// barrier that applies reaction firings (call wiring, catch dispatch,
-/// body processing) in canonical shard order. The shard count is a
-/// constant, independent of `SolverConfig::Threads`, so the fixpoint —
-/// points-to sets, call graph, stats, and provenance — is bit-identical at
-/// every thread count, including 1.
+/// Points-to sets are flat sorted `uint32_t` arrays of value ids, and the
+/// drain is *sharded, bulk-synchronous difference propagation* (DESIGN.md
+/// §11). Values bound for a node first land in its shard's incoming buffer.
+/// Each round then runs four steps:
+///
+///   1. merge   (parallel per target shard): sort and unique each node's
+///              incoming values — every appender already dropped values the
+///              set holds — making them the node's delta, and union them
+///              into the set;
+///   2. phase   (parallel per source shard): walk the deltas, staging one
+///              (target, source delta, filter) reference per edge plus the
+///              reaction and catch firings;
+///   3. gather  (parallel per target shard): read the frozen deltas through
+///              those references, filter, drop values the target holds or
+///              already got this round, and append to incoming buffers;
+///   4. barrier (sequential, canonical shard order): apply the reactions and
+///              catch dispatches (call wiring, body processing, interning).
+///
+/// Sets mutate only in the merge step; everything else — including edge
+/// and reaction replays at the barrier and plugin seeds — only appends to
+/// incoming buffers. The shard count is a constant, independent of
+/// `SolverConfig::Threads`, set contents are sort-canonical, and interning
+/// happens only at the barrier, so the fixpoint — points-to sets, call
+/// graph, stats, and provenance — is bit-identical at every thread count,
+/// including 1.
 ///
 /// Plugins (`Plugin::onFixpoint`) run each time the worklist drains and may
 /// inject new facts (entry points, bean injections, getBean seeds); solving
@@ -59,7 +75,6 @@
 #include <array>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace jackee {
@@ -179,8 +194,11 @@ public:
   /// Context instances (variable nodes) of \p Var created so far.
   const std::vector<NodeId> &varInstances(ir::VarId Var) const;
 
-  /// Points-to set of one node (ValueId raw indexes).
-  const InsertOrderSet<uint32_t> &pointsTo(NodeId N) const {
+  /// Nodes interned so far; `NodeId(0)` .. `NodeId(nodeCount() - 1)`.
+  uint32_t nodeCount() const { return static_cast<uint32_t>(Nodes.size()); }
+
+  /// Points-to set of one node: ValueId raw indexes, strictly ascending.
+  const std::vector<uint32_t> &pointsTo(NodeId N) const {
     return PointsTo[N.index()];
   }
 
@@ -231,18 +249,21 @@ public:
   /// projection (sites per variable), averaged over pointing variables.
   double averageVarPointsTo(bool AppOnly) const;
 
-  /// The points-to set census of DESIGN.md §14: hashes every var node's
-  /// set by canonical (sorted) contents to count distinct vs total sets, a
-  /// power-of-two size histogram, and the bytes a hash-consing pass
-  /// (ROADMAP item 5) would reclaim. One `PackageShare` row per entry of
-  /// \p PackagePrefixes (`varPointsToTuples` on each — where the paper's
-  /// `java.util` elephants light up). Run at fixpoint; every field is
-  /// deterministic at any `Threads` setting, because set *contents* are
-  /// (DESIGN.md §11) and the walk sorts before hashing.
+  /// The points-to set census of DESIGN.md §14: groups every var node's
+  /// (sorted) set by contents to count distinct vs total sets, a
+  /// power-of-two size histogram, the real u32 footprint of the sets
+  /// (`SetBytes`), and the bytes interning equal sets (ROADMAP item 2)
+  /// would reclaim. One `PackageShare` row per entry of \p PackagePrefixes
+  /// (`varPointsToTuples` on each — where the paper's `java.util` elephants
+  /// light up). Run at fixpoint; every field is deterministic at any
+  /// `Threads` setting, because set contents and value ids are (DESIGN.md
+  /// §11).
   observe::ProfileCensus
   censusPointsTo(const std::vector<std::string> &PackagePrefixes) const;
 
   struct Stats {
+    /// Values that entered a set: Σ|delta| over all rounds, which equals
+    /// Σ|pointsTo(N)| over all nodes at fixpoint.
     uint64_t WorkItems = 0;
     uint64_t EdgesAdded = 0;
     uint64_t ReactionsRun = 0;
@@ -302,37 +323,66 @@ private:
   static constexpr uint32_t ShardMask = NumShards - 1;
   static uint32_t shardOf(NodeId N) { return N.index() & ShardMask; }
 
-  struct WorkItem {
+  /// One node's new values this round: `Size` entries of its shard's
+  /// `DeltaValues` arena from `Begin`, sorted.
+  struct Delta {
     NodeId N;
-    ValueId V;
+    uint32_t Begin;
+    uint32_t Size;
   };
-  struct StagedReaction {
-    Reaction R;
-    ValueId V;
+  /// An edge leaving a delta node: the gather reads delta `Source` of
+  /// shard `Shard`, filters it, and feeds node `Target`.
+  struct StagedRef {
+    uint32_t Target;
+    uint32_t Shard;
+    uint32_t Source;
+    ir::TypeId Filter;
   };
-  struct StagedCatch {
-    CMethodId CM;
-    ValueId V;
+  /// Delta `Source` fires the node's first `Reactions` reactions (the count
+  /// at phase time; later ones replay the whole set when added) and, for a
+  /// catch-dispatch node, its catch routing.
+  struct StagedFiring {
+    uint32_t Source;
+    uint32_t Reactions;
   };
 
-  /// Per-shard drain state. During the parallel phase a worker touches only
-  /// the staging vectors of the source shard it was handed; during the
-  /// merge only the `Pending` queue and points-to entries of its target
-  /// shard. All cross-shard traffic goes through `StagedProps`, bucketed by
-  /// target shard.
+  /// Per-shard drain state. The merge of shard S writes only S's incoming
+  /// buffer, deltas and the sets of S's nodes; the phase of S only S's
+  /// staging vectors; the gather of S reads every shard's deltas but writes
+  /// only S's incoming buffer and the `StagedRefs` buckets addressed to
+  /// S. Deltas and staging are round arenas, reused every round and
+  /// released when `solve()` returns.
   struct Shard {
-    std::vector<WorkItem> Current; ///< items admitted to this round
-    std::vector<WorkItem> Pending; ///< items discovered, next round's input
-    /// Propagations staged by the phase, bucketed by `shardOf(target)`.
-    std::array<std::vector<WorkItem>, NumShards> StagedProps;
-    std::vector<StagedReaction> StagedReactions;
-    std::vector<StagedCatch> StagedCatches;
-    uint64_t PhaseItems = 0; ///< items this round (scratch)
+    /// packPair(node, value) bound for this shard's nodes; next merge input.
+    std::vector<uint64_t> Incoming;
+    std::vector<Delta> Deltas;
+    std::vector<uint32_t> DeltaValues;
+    std::array<std::vector<StagedRef>, NumShards> StagedRefs;
+    std::vector<StagedFiring> Firings;
     uint64_t TotalItems = 0; ///< lifetime work items (deterministic)
     uint64_t Steals = 0;     ///< phase tasks run off their home worker
   };
 
+  /// Solver-wide edge dedup: flat open addressing over (from, to, filter).
+  class EdgeSet {
+  public:
+    /// \returns true if the edge was not present before.
+    bool insert(NodeId From, NodeId To, ir::TypeId Filter);
+
+  private:
+    struct Key {
+      uint32_t From = Empty, To = 0, Filter = 0;
+    };
+    static constexpr uint32_t Empty = ~uint32_t(0);
+    bool insertKey(Key New);
+    void grow();
+    std::vector<Key> Slots;
+    size_t Count = 0;
+  };
+
   NodeId internNode(NodeKind Kind, uint32_t A, uint32_t B);
+  /// The slot holding node (Kind, A, B), or the empty slot it would take.
+  size_t nodeSlot(NodeKind Kind, uint32_t A, uint32_t B) const;
   NodeId varNode(ir::VarId Var, CtxId Ctx);
   NodeId fieldNode(ValueId Base, ir::FieldId F);
   NodeId arrayNode(ValueId Base);
@@ -348,14 +398,19 @@ private:
   void applyReaction(const Reaction &R, ValueId V);
   void dispatchCatch(CMethodId CM, ValueId V);
 
-  /// Round step 1: read-only propagation over one source shard's admitted
-  /// items, staging successor work. Safe to run concurrently across shards.
-  void phaseShard(uint32_t ShardIndex);
-  /// Round step 2: merges staged propagations into one target shard's
-  /// points-to sets in canonical source-shard-major order. Shards own
-  /// disjoint state, so concurrent merges stay deterministic.
+  /// Round step 1: turns one shard's incoming values into deltas and
+  /// unions them into its nodes' sets — the only place sets mutate.
   void mergeShard(uint32_t ShardIndex);
+  /// Round step 2: stages one shard's delta edges, reactions and catches.
+  /// Read-only over solver state; safe to run concurrently across shards.
+  void phaseShard(uint32_t ShardIndex);
+  /// Round step 3: feeds one target shard's incoming buffer from the deltas
+  /// staged against it, in canonical source-shard-major order.
+  void gatherShard(uint32_t ShardIndex);
+  /// Round step 4, sequential: fires staged reactions and catches.
+  void applyBarrier();
   void drainWorklist();
+  void releaseRoundArenas();
   bool hasPendingWork() const;
   void publishMetrics();
 
@@ -381,10 +436,11 @@ private:
   std::vector<ValueKey> Values;
   std::unordered_map<uint64_t, uint32_t> ValueLookup;
 
-  // Node interning: hash buckets with exact verification (the (kind, A, B)
-  // triple does not fit a 64-bit exact key).
+  // Node interning: flat open addressing over node indexes, verified
+  // against `Nodes` (the (kind, A, B) triple does not fit a 64-bit key).
   std::vector<Node> Nodes;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> NodeBuckets;
+  std::vector<uint32_t> NodeSlots; ///< node index or `EmptySlot`
+  static constexpr uint32_t EmptySlot = ~uint32_t(0);
 
   // CMethod interning.
   struct CMethod {
@@ -395,10 +451,10 @@ private:
   std::unordered_map<uint64_t, uint32_t> CMethodLookup;
 
   // Per-node state (indexed by NodeId).
-  std::vector<InsertOrderSet<uint32_t>> PointsTo;
+  std::vector<std::vector<uint32_t>> PointsTo; ///< sorted ValueId raws
   std::vector<std::vector<Edge>> Edges;
-  std::vector<std::unordered_set<uint64_t>> EdgeDedup;
   std::vector<std::vector<Reaction>> Reactions;
+  EdgeSet EdgeKeys;
 
   // Var -> its context instances.
   std::vector<std::vector<NodeId>> VarNodes;

@@ -6,9 +6,10 @@
 ///
 /// \file
 /// `InsertOrderSet` — a set with O(1) membership and *deterministic*
-/// (insertion-order) iteration. Points-to sets, worklists and relation
-/// deltas all iterate these, and analysis output must not depend on hash
-/// table layout (see "Beware of non-determinism" in the LLVM standards).
+/// (insertion-order) iteration. The solver's reachable-method and
+/// call-graph edge sequences iterate these, and analysis output must not
+/// depend on hash table layout (see "Beware of non-determinism" in the LLVM
+/// standards).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -195,8 +195,12 @@ bool pointsToType(const Solver &S, VarId V, std::string_view TypeName) {
 }
 
 /// Sweep over {mode} x {map kind} x {context config}.
+///
+/// gtest names each case by a byte dump of the parameter, so every byte of
+/// the struct is a field: padding after a `bool` would put uninitialised
+/// bytes into the test names and make them differ from run to run.
 struct ClientCase {
-  bool SoundModulo;
+  uint32_t SoundModulo;
   MapKind Kind;
   uint32_t K, H;
 };

@@ -4,7 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Session.h"
 #include "pointsto/Solver.h"
+#include "synth/SynthApp.h"
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,23 @@ using namespace jackee::ir;
 using namespace jackee::pointsto;
 
 namespace {
+
+/// The set store's invariants (DESIGN.md §11): every set iterates strictly
+/// ascending, and each value enters a set exactly once, so the work-item
+/// count equals the total set size at fixpoint.
+void expectSetStoreInvariants(const Solver &S) {
+  uint64_t Entries = 0;
+  for (uint32_t NI = 0; NI != S.nodeCount(); ++NI) {
+    const std::vector<uint32_t> &Set = S.pointsTo(NodeId(NI));
+    EXPECT_TRUE(std::adjacent_find(Set.begin(), Set.end(),
+                                   [](uint32_t A, uint32_t B) {
+                                     return A >= B;
+                                   }) == Set.end())
+        << "node " << NI << " is not strictly ascending";
+    Entries += Set.size();
+  }
+  EXPECT_EQ(S.stats().WorkItems, Entries);
+}
 
 /// Fixture with a fresh program containing Object/String/Throwable roots.
 class SolverTest : public ::testing::Test {
@@ -37,6 +56,7 @@ protected:
     auto S = std::make_unique<Solver>(P, SolverConfig{K, H});
     S->makeReachable(Main, S->contexts().empty());
     S->solve();
+    expectSetStoreInvariants(*S);
     return S;
   }
 
@@ -478,6 +498,7 @@ TEST_F(SolverTest, PluginRoundsReSolve) {
   EXPECT_EQ(S.varPointsToSites(Out),
             (std::vector<AllocSiteId>{PaySite}));
   EXPECT_GE(S.stats().PluginRounds, 2u);
+  expectSetStoreInvariants(S);
 }
 
 TEST_F(SolverTest, UnreachableCodeStaysUnanalyzed) {
@@ -673,6 +694,124 @@ TEST(ThreadSweep, FixpointIsBitIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(S->stats().ReactionsRun, Base->stats().ReactionsRun);
     EXPECT_EQ(S->stats().Rounds, Base->stats().Rounds);
     EXPECT_EQ(S->varPointsToTuplesTotal(), Base->varPointsToTuplesTotal());
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Set store: sorted sets, difference propagation, barrier replays
+//===----------------------------------------------------------------------===//
+
+class PointsToSetOrder : public SolverTest {};
+
+/// `x` gets the later-interned value first (one hop) and the earlier one
+/// three rounds later, so the merge has to insert below the set's end.
+TEST_F(PointsToSetOrder, LateLowerValueIdMergesInOrder) {
+  TypeId A = P.addClass("A", TypeKind::Class, Object);
+  MethodBuilder Main = P.addMethod(A, "main", {}, TypeId::invalid(), true);
+  VarId First = Main.local("first", Object);
+  VarId Second = Main.local("second", Object);
+  VarId Hop1 = Main.local("hop1", Object);
+  VarId Hop2 = Main.local("hop2", Object);
+  VarId X = Main.local("x", Object);
+  Main.alloc(First, A)
+      .alloc(Second, A)
+      .move(X, Second)
+      .move(Hop1, First)
+      .move(Hop2, Hop1)
+      .move(X, Hop2);
+
+  auto S = analyze(Main.id(), 0, 0); // checks every set ascends
+  ASSERT_EQ(S->varInstances(X).size(), 1u);
+  const std::vector<uint32_t> &Set = S->pointsTo(S->varInstances(X)[0]);
+  ASSERT_EQ(Set.size(), 2u);
+  EXPECT_EQ(S->valueSiteId(ValueId(Set[0])), S->varPointsToSites(First)[0]);
+  EXPECT_EQ(S->valueSiteId(ValueId(Set[1])), S->varPointsToSites(Second)[0]);
+}
+
+TEST(PointsToSetStore, Petstore2ObjHSetsAscendAndSumToWorkItems) {
+  core::AnalysisSession Session;
+  core::CellResult Cell =
+      Session.open(synth::petstoreApp(), core::AnalysisKind::TwoObjH);
+  ASSERT_TRUE(Cell.ok()) << Cell.error().Message;
+  ASSERT_GT(Cell->solver().stats().WorkItems, 0u);
+  expectSetStoreInvariants(Cell->solver());
+}
+
+TEST(PointsToSetStore, WarmUpdateKeepsWorkItemsEqualToSetSizes) {
+  core::AnalysisSession Session;
+  core::CellResult Cell =
+      Session.open(synth::petstoreApp(), core::AnalysisKind::TwoObjH);
+  ASSERT_TRUE(Cell.ok()) << Cell.error().Message;
+  const uint32_t ColdPluginRounds = Cell->solver().stats().PluginRounds;
+  const uint64_t ColdWork = Cell->solver().stats().WorkItems;
+
+  // Insert-only config naming a class without an abstract object: the
+  // warm path, which keeps the solver and extends its fixpoint.
+  core::CellDelta Delta;
+  Delta.AddConfigs.push_back(
+      {"order-beans.xml",
+       "<beans>\n  <bean id=\"order\" class=\"shop.Order\"/>\n</beans>\n"});
+  core::AnalysisResult Updated = Cell->update(Delta);
+  ASSERT_TRUE(Updated.ok()) << Updated.error().Message;
+
+  const Solver &S = Cell->solver();
+  EXPECT_GT(S.stats().PluginRounds, ColdPluginRounds) << "update was not warm";
+  EXPECT_GT(S.stats().WorkItems, ColdWork);
+  expectSetStoreInvariants(S);
+}
+
+/// Replays that feed a node from itself at the barrier: `x = x` (a
+/// self-edge), `x.f = x` (a store into its own base) and `x = x.f` (a load
+/// whose field edge targets its base). Each replay walks x's set while
+/// queueing values for x; the fixpoint must not depend on the worker count.
+TEST(PointsToSetStore, BarrierSelfReplaysMatchAcrossThreadCounts) {
+  SymbolTable Symbols;
+  Program P(Symbols);
+  TypeId Object =
+      P.addClass("java.lang.Object", TypeKind::Class, TypeId::invalid());
+  P.addClass("java.lang.String", TypeKind::Class, Object);
+  TypeId Node = P.addClass("Node", TypeKind::Class, Object);
+  FieldId F = P.addField(Node, "f", Object);
+  FieldId G = P.addField(Node, "g", Object);
+
+  // Enough objects that the rounds exceed the inline threshold and run on
+  // the pool at Threads > 1.
+  constexpr int Objects = 160;
+  MethodBuilder Main = P.addMethod(Node, "main", {}, TypeId::invalid(), true);
+  VarId X = Main.local("x", Node);
+  VarId Y = Main.local("y", Object);
+  for (int I = 0; I != Objects; ++I)
+    Main.alloc(X, Node);
+  Main.move(X, X)
+      .store(X, F, X)
+      .load(X, X, F)
+      .store(X, G, Y)
+      .load(Y, X, G)
+      .move(Y, X);
+  P.finalize();
+
+  auto solveAt = [&](unsigned Threads) {
+    auto S = std::make_unique<Solver>(P, SolverConfig{1, 1, Threads});
+    S->makeReachable(Main.id(), S->contexts().empty());
+    S->solve();
+    return S;
+  };
+  std::unique_ptr<Solver> Base = solveAt(1);
+  EXPECT_EQ(Base->varPointsToSites(X).size(), size_t(Objects));
+  EXPECT_EQ(Base->varPointsToSites(Y).size(), size_t(Objects));
+  expectSetStoreInvariants(*Base);
+
+  for (unsigned Threads : {2u, 8u}) {
+    SCOPED_TRACE("Threads=" + std::to_string(Threads));
+    std::unique_ptr<Solver> S = solveAt(Threads);
+    expectSetStoreInvariants(*S);
+    ASSERT_EQ(S->nodeCount(), Base->nodeCount());
+    for (uint32_t NI = 0; NI != S->nodeCount(); ++NI)
+      EXPECT_EQ(S->pointsTo(NodeId(NI)), Base->pointsTo(NodeId(NI)));
+    EXPECT_EQ(S->stats().WorkItems, Base->stats().WorkItems);
+    EXPECT_EQ(S->stats().EdgesAdded, Base->stats().EdgesAdded);
+    EXPECT_EQ(S->stats().ReactionsRun, Base->stats().ReactionsRun);
+    EXPECT_EQ(S->stats().Rounds, Base->stats().Rounds);
   }
 }
 
