@@ -11,6 +11,7 @@
 #include "support/WorkQueue.h"
 
 #include <algorithm>
+#include <chrono>
 #include <string_view>
 #include <thread>
 
@@ -35,7 +36,7 @@ unsigned resolveSolverThreads(unsigned Requested) {
 /// in the identical order.
 constexpr size_t ParallelRoundThreshold = 128;
 
-/// Scrambles a packed key for the open-addressing tables (MurmurHash3's
+/// Scrambles a packed key for the open-addressing node table (MurmurHash3's
 /// 64-bit finalizer): ids are dense, so their low bits alone cluster.
 uint64_t mixBits(uint64_t H) {
   H ^= H >> 33;
@@ -78,6 +79,22 @@ StampSet &emptyStampSet(size_t Universe) {
   thread_local StampSet Set;
   Set.reset(Universe);
   return Set;
+}
+
+/// Unions the sorted run \p New[0, Add), none of whose elements \p Dst
+/// holds, into the sorted \p Dst in place: grows it and merges from the
+/// back, so no buffer beyond the run is needed.
+template <typename T, typename LessFn>
+void unionFromBack(std::vector<T> &Dst, const T *New, size_t Add,
+                   LessFn Less) {
+  size_t Old = Dst.size();
+  Dst.resize(Old + Add);
+  for (size_t Out = Old + Add; Add != 0;) {
+    if (Old != 0 && Less(New[Add - 1], Dst[Old - 1]))
+      Dst[--Out] = Dst[--Old];
+    else
+      Dst[--Out] = New[--Add];
+  }
 }
 
 } // namespace
@@ -136,6 +153,7 @@ NodeId Solver::internNode(NodeKind Kind, uint32_t A, uint32_t B) {
   Nodes.push_back({Kind, A, B});
   PointsTo.emplace_back();
   Edges.emplace_back();
+  EdgesSorted.push_back(0);
   Reactions.emplace_back();
 
   if (Kind == NodeKind::Var) {
@@ -186,37 +204,6 @@ bool Solver::passesFilter(ValueId V, TypeId Filter) const {
   return P.isSubtype(valueType(V), Filter);
 }
 
-bool Solver::EdgeSet::insert(NodeId From, NodeId To, TypeId Filter) {
-  if ((Count + 1) * 4 > Slots.size() * 3)
-    grow();
-  return insertKey({From.rawValue(), To.rawValue(), Filter.rawValue()});
-}
-
-bool Solver::EdgeSet::insertKey(Key New) {
-  const size_t Mask = Slots.size() - 1;
-  const uint64_t H = mixBits(packPair(New.From, New.To) ^
-                             (uint64_t(New.Filter) * 0x9e3779b97f4a7c15ULL));
-  for (size_t I = H & Mask;; I = (I + 1) & Mask) {
-    Key &K = Slots[I];
-    if (K.From == Empty) {
-      K = New;
-      ++Count;
-      return true;
-    }
-    if (K.From == New.From && K.To == New.To && K.Filter == New.Filter)
-      return false;
-  }
-}
-
-void Solver::EdgeSet::grow() {
-  std::vector<Key> Old(std::max<size_t>(Slots.size() * 2, 1024));
-  Old.swap(Slots);
-  Count = 0;
-  for (const Key &K : Old)
-    if (K.From != Empty)
-      insertKey(K);
-}
-
 void Solver::propagate(NodeId N, ValueId V) {
   // Sets mutate only in the merge step, so this only queues V; the set
   // check just keeps known values out of the buffer.
@@ -227,18 +214,17 @@ void Solver::propagate(NodeId N, ValueId V) {
 }
 
 void Solver::addEdge(NodeId From, NodeId To, TypeId Filter) {
-  if (!EdgeKeys.insert(From, To, Filter))
-    return;
-  Edges[From.index()].push_back({To, Filter});
-  ++SolverStats.EdgesAdded;
-  // Replay the current set through the new edge; values arriving later
-  // flow through it as deltas. `propagate` neither interns nor mutates
-  // sets, so the reference stays valid even for a self-edge.
-  for (uint32_t Raw : PointsTo[From.index()]) {
-    ValueId V(Raw);
-    if (passesFilter(V, Filter))
-      propagate(To, V);
-  }
+  // Edge lists mutate only in the merge, so this only appends. The next
+  // merge folds the tail in (dropping repeats) before the phase stages
+  // From's next delta along it; the next gather sends the set From holds
+  // by then, which covers everything the delta misses.
+  std::vector<Edge> &List = Edges[From.index()];
+  if (List.size() == EdgesSorted[From.index()])
+    Shards[shardOf(From)].DirtyEdges.push_back(From.index());
+  List.push_back({To, Filter});
+  if (!PointsTo[From.index()].empty())
+    Shards[shardOf(To)].Replays.push_back(
+        {To.index(), ReplayShard, From.index(), Filter});
 }
 
 void Solver::addReaction(NodeId N, Reaction R) {
@@ -451,22 +437,36 @@ void Solver::mergeShard(uint32_t ShardIndex) {
     const uint32_t Size =
         static_cast<uint32_t>(S.DeltaValues.size()) - Begin;
     S.Deltas.push_back({NodeId(NIdx), Begin, Size});
-    // Union in place, merging from the back.
-    std::vector<uint32_t> &Set = PointsTo[NIdx];
-    const uint32_t *New = S.DeltaValues.data() + Begin;
-    size_t Old = Set.size(), Add = Size;
-    Set.resize(Old + Add);
-    for (size_t Out = Old + Add; Add != 0;) {
-      if (Old != 0 && Set[Old - 1] > New[Add - 1])
-        Set[--Out] = Set[--Old];
-      else
-        Set[--Out] = New[--Add];
-    }
+    unionFromBack(PointsTo[NIdx], S.DeltaValues.data() + Begin, Size,
+                  std::less<uint32_t>());
   }
   // Release rather than clear: shards peak in different rounds, and kept
   // capacities would add up across all 64 of them.
   std::vector<uint64_t>().swap(In);
   S.TotalItems += S.DeltaValues.size();
+
+  // Edge tails: keep each edge once, whether it repeats within the tail or
+  // is already in the sorted prefix. The survivors are the new edges.
+  auto EdgeLess = [](const Edge &A, const Edge &B) {
+    return packPair(A.Target.rawValue(), A.Filter.rawValue()) <
+           packPair(B.Target.rawValue(), B.Filter.rawValue());
+  };
+  S.NewEdges = 0;
+  for (uint32_t NIdx : S.DirtyEdges) {
+    std::vector<Edge> &List = Edges[NIdx];
+    const auto Prefix = List.begin() + EdgesSorted[NIdx];
+    std::sort(Prefix, List.end(), EdgeLess);
+    S.EdgeTail.clear();
+    for (auto It = Prefix; It != List.end(); ++It)
+      if ((S.EdgeTail.empty() || EdgeLess(S.EdgeTail.back(), *It)) &&
+          !std::binary_search(List.begin(), Prefix, *It, EdgeLess))
+        S.EdgeTail.push_back(*It);
+    List.erase(Prefix, List.end());
+    unionFromBack(List, S.EdgeTail.data(), S.EdgeTail.size(), EdgeLess);
+    EdgesSorted[NIdx] = static_cast<uint32_t>(List.size());
+    S.NewEdges += S.EdgeTail.size();
+  }
+  S.DirtyEdges.clear();
 }
 
 void Solver::phaseShard(uint32_t ShardIndex) {
@@ -474,12 +474,15 @@ void Solver::phaseShard(uint32_t ShardIndex) {
   // nodes change only in the merge and at the barrier. Staging is
   // source-shard-local.
   Shard &S = Shards[ShardIndex];
+  S.StagedMask = 0;
   for (uint32_t D = 0, E = static_cast<uint32_t>(S.Deltas.size()); D != E;
        ++D) {
     const uint32_t NIdx = S.Deltas[D].N.index();
-    for (const Edge &Out : Edges[NIdx])
+    for (const Edge &Out : Edges[NIdx]) {
       S.StagedRefs[shardOf(Out.Target)].push_back(
           {Out.Target.index(), ShardIndex, D, Out.Filter});
+      S.StagedMask |= uint64_t(1) << shardOf(Out.Target);
+    }
     const uint32_t Count = static_cast<uint32_t>(Reactions[NIdx].size());
     if (Count != 0 || Nodes[NIdx].Kind == NodeKind::CatchDispatch)
       S.Firings.push_back({D, Count});
@@ -489,11 +492,15 @@ void Solver::phaseShard(uint32_t ShardIndex) {
 void Solver::gatherShard(uint32_t ShardIndex) {
   // Appends only to this shard's incoming buffer and reads frozen deltas
   // and sets. References are grouped by target node so a value reaching
-  // one target from several sources is queued once; values the target
+  // one target from several sources — a replay and the delta staged along
+  // the same new edge included — is queued once; values the target
   // already holds are dropped here, in parallel, instead of in the merge.
   Shard &T = Shards[ShardIndex];
   std::vector<StagedRef> Refs;
+  Refs.swap(T.Replays);
   for (Shard &Src : Shards) {
+    if (!(Src.StagedMask >> ShardIndex & 1))
+      continue;
     std::vector<StagedRef> &Bucket = Src.StagedRefs[ShardIndex];
     Refs.insert(Refs.end(), Bucket.begin(), Bucket.end());
     Bucket.clear();
@@ -507,10 +514,19 @@ void Solver::gatherShard(uint32_t ShardIndex) {
     const std::vector<uint32_t> &Set = PointsTo[Target];
     StampSet &Seen = emptyStampSet(Values.size());
     for (; I != E && Refs[I].Target == Target; ++I) {
-      const Shard &Src = Shards[Refs[I].Shard];
-      const Delta &D = Src.Deltas[Refs[I].Source];
-      const uint32_t *Vals = Src.DeltaValues.data() + D.Begin;
-      for (uint32_t K = 0; K != D.Size; ++K) {
+      const uint32_t *Vals;
+      size_t Size;
+      if (Refs[I].Shard == ReplayShard) {
+        const std::vector<uint32_t> &Whole = PointsTo[Refs[I].Source];
+        Vals = Whole.data();
+        Size = Whole.size();
+      } else {
+        const Shard &Src = Shards[Refs[I].Shard];
+        const Delta &D = Src.Deltas[Refs[I].Source];
+        Vals = Src.DeltaValues.data() + D.Begin;
+        Size = D.Size;
+      }
+      for (size_t K = 0; K != Size; ++K) {
         const uint32_t V = Vals[K];
         if (passesFilter(ValueId(V), Refs[I].Filter) && Seen.insert(V) &&
             !std::binary_search(Set.begin(), Set.end(), V))
@@ -547,23 +563,28 @@ void Solver::applyBarrier() {
 
 bool Solver::hasPendingWork() const {
   for (const Shard &S : Shards)
-    if (!S.Incoming.empty())
+    if (!S.Incoming.empty() || !S.Replays.empty() || !S.DirtyEdges.empty())
       return true;
   return false;
 }
 
 void Solver::drainWorklist() {
-  while (true) {
-    size_t Incoming = 0;
+  using Clock = std::chrono::steady_clock;
+  auto Timed = [](double &Seconds, auto &&Fn) {
+    const Clock::time_point Start = Clock::now();
+    Fn();
+    Seconds += std::chrono::duration<double>(Clock::now() - Start).count();
+  };
+  while (hasPendingWork()) {
+    // Dirty edge tails are cheap to fold, so only values and replay refs
+    // count toward the threshold.
+    size_t Items = 0;
     for (const Shard &S : Shards)
-      Incoming += S.Incoming.size();
-    if (Incoming == 0)
-      break;
-
+      Items += S.Incoming.size() + S.Replays.size();
     // Every step runs the identical algorithm in the identical order
     // whether inline or on the pool; only the scheduling differs.
     const bool Parallel =
-        Config.Threads > 1 && Incoming >= ParallelRoundThreshold;
+        Config.Threads > 1 && Items >= ParallelRoundThreshold;
     if (Parallel && !Pool)
       Pool = std::make_unique<WorkerPool>(std::min(Config.Threads, NumShards));
     const unsigned Workers = Parallel ? Pool->workerCount() : 1;
@@ -575,25 +596,34 @@ void Solver::drainWorklist() {
           Fn(I, 0u);
     };
 
-    Step([this](uint32_t I, unsigned) { mergeShard(I); });
+    Timed(MergeSeconds,
+          [&] { Step([this](uint32_t I, unsigned) { mergeShard(I); }); });
     ++SolverStats.Rounds;
-    for (const Shard &S : Shards)
+    for (const Shard &S : Shards) {
       SolverStats.WorkItems += S.DeltaValues.size();
+      SolverStats.EdgesAdded += S.NewEdges;
+    }
     ParallelRounds += Parallel;
 
-    Step([&](uint32_t I, unsigned Worker) {
-      if (I % Workers != Worker)
-        ++Shards[I].Steals;
-      phaseShard(I);
+    Timed(PhaseSeconds, [&] {
+      Step([&](uint32_t I, unsigned Worker) {
+        if (I % Workers != Worker)
+          ++Shards[I].Steals;
+        phaseShard(I);
+      });
     });
-    Step([this](uint32_t I, unsigned) { gatherShard(I); });
-    applyBarrier();
+    Timed(GatherSeconds,
+          [&] { Step([this](uint32_t I, unsigned) { gatherShard(I); }); });
+    Timed(BarrierSeconds, [this] { applyBarrier(); });
   }
 }
 
 void Solver::releaseRoundArenas() {
   for (Shard &S : Shards) {
     S.Incoming = {};
+    S.DirtyEdges = {};
+    S.Replays = {};
+    S.EdgeTail = {};
     S.Deltas = {};
     S.DeltaValues = {};
     for (std::vector<StagedRef> &Bucket : S.StagedRefs)
@@ -643,6 +673,10 @@ void Solver::publishMetrics() {
   for (const Shard &S : Shards)
     Registry->observe("pointsto.shard.steals",
                       static_cast<double>(S.Steals));
+  Registry->set("pointsto.sched.merge_s", MergeSeconds);
+  Registry->set("pointsto.sched.phase_s", PhaseSeconds);
+  Registry->set("pointsto.sched.gather_s", GatherSeconds);
+  Registry->set("pointsto.sched.barrier_s", BarrierSeconds);
 }
 
 //===----------------------------------------------------------------------===//

@@ -31,29 +31,33 @@
 ///
 /// Points-to sets are flat sorted `uint32_t` arrays of value ids, and the
 /// drain is *sharded, bulk-synchronous difference propagation* (DESIGN.md
-/// §11). Values bound for a node first land in its shard's incoming buffer.
+/// §11). Values bound for a node first land in its shard's incoming buffer;
+/// a new edge lands in its source's unsorted edge tail and, if the source
+/// already holds values, as a whole-set replay ref in its target's shard.
 /// Each round then runs four steps:
 ///
 ///   1. merge   (parallel per target shard): sort and unique each node's
 ///              incoming values — every appender already dropped values the
 ///              set holds — making them the node's delta, and union them
-///              into the set;
+///              into the set; sort each dirty edge tail, drop the edges the
+///              list already has, and union the rest into the list;
 ///   2. phase   (parallel per source shard): walk the deltas, staging one
 ///              (target, source delta, filter) reference per edge plus the
 ///              reaction and catch firings;
 ///   3. gather  (parallel per target shard): read the frozen deltas through
-///              those references, filter, drop values the target holds or
-///              already got this round, and append to incoming buffers;
+///              those references, and whole source sets through the replay
+///              refs, filter, drop values the target holds or already got
+///              this round, and append to incoming buffers;
 ///   4. barrier (sequential, canonical shard order): apply the reactions and
 ///              catch dispatches (call wiring, body processing, interning).
 ///
-/// Sets mutate only in the merge step; everything else — including edge
-/// and reaction replays at the barrier and plugin seeds — only appends to
-/// incoming buffers. The shard count is a constant, independent of
-/// `SolverConfig::Threads`, set contents are sort-canonical, and interning
-/// happens only at the barrier, so the fixpoint — points-to sets, call
-/// graph, stats, and provenance — is bit-identical at every thread count,
-/// including 1.
+/// Sets and edge lists mutate only in the merge step; everything else —
+/// the barrier, plugins and seeds — only appends: incoming values, edge
+/// tails and replay refs. The shard count is a constant, independent of
+/// `SolverConfig::Threads`, sets and edge lists are sort-canonical, and
+/// interning happens only at the barrier, so the fixpoint — points-to sets,
+/// call graph, stats, and provenance — is bit-identical at every thread
+/// count, including 1.
 ///
 /// Plugins (`Plugin::onFixpoint`) run each time the worklist drains and may
 /// inject new facts (entry points, bean injections, getBean seeds); solving
@@ -148,7 +152,9 @@ public:
   /// publishes `pointsto.rounds`, `pointsto.work_items`, and the per-shard
   /// `pointsto.shard.work_items` histogram (all thread-count-invariant),
   /// plus scheduling-dependent `pointsto.shard.steals` /
-  /// `pointsto.sched.*` samples.
+  /// `pointsto.sched.*` samples, among them the wall seconds each round
+  /// step took, summed over rounds (`pointsto.sched.merge_s`, `.phase_s`,
+  /// `.gather_s`, `.barrier_s`).
   void setMetricsRegistry(observe::MetricsRegistry *R) { Registry = R; }
 
   // --- Seeding (used by drivers and the framework layer) -----------------
@@ -265,6 +271,7 @@ public:
     /// Values that entered a set: Σ|delta| over all rounds, which equals
     /// Σ|pointsTo(N)| over all nodes at fixpoint.
     uint64_t WorkItems = 0;
+    /// Distinct (from, to, filter) edges, counted as the merge folds them.
     uint64_t EdgesAdded = 0;
     uint64_t ReactionsRun = 0;
     uint32_t PluginRounds = 0;
@@ -331,13 +338,16 @@ private:
     uint32_t Size;
   };
   /// An edge leaving a delta node: the gather reads delta `Source` of
-  /// shard `Shard`, filters it, and feeds node `Target`.
+  /// shard `Shard`, filters it, and feeds node `Target`. A replay ref of a
+  /// new edge has `Shard == ReplayShard` and reads node `Source`'s whole
+  /// set instead.
   struct StagedRef {
     uint32_t Target;
     uint32_t Shard;
     uint32_t Source;
     ir::TypeId Filter;
   };
+  static constexpr uint32_t ReplayShard = NumShards;
   /// Delta `Source` fires the node's first `Reactions` reactions (the count
   /// at phase time; later ones replay the whole set when added) and, for a
   /// catch-dispatch node, its catch routing.
@@ -347,37 +357,28 @@ private:
   };
 
   /// Per-shard drain state. The merge of shard S writes only S's incoming
-  /// buffer, deltas and the sets of S's nodes; the phase of S only S's
-  /// staging vectors; the gather of S reads every shard's deltas but writes
-  /// only S's incoming buffer and the `StagedRefs` buckets addressed to
-  /// S. Deltas and staging are round arenas, reused every round and
-  /// released when `solve()` returns.
+  /// buffer, deltas, dirty list, and the sets and edge lists of S's nodes;
+  /// the phase of S only S's staging vectors; the gather of S reads every
+  /// shard's deltas but writes only S's incoming buffer and the refs
+  /// addressed to S. Deltas and staging are round arenas, reused every
+  /// round and released when `solve()` returns.
   struct Shard {
     /// packPair(node, value) bound for this shard's nodes; next merge input.
     std::vector<uint64_t> Incoming;
+    /// This shard's nodes with an unmerged edge tail; next merge input.
+    std::vector<uint32_t> DirtyEdges;
+    /// Whole-set replays of new edges into this shard's nodes; next gather
+    /// input.
+    std::vector<StagedRef> Replays;
     std::vector<Delta> Deltas;
     std::vector<uint32_t> DeltaValues;
+    std::vector<Edge> EdgeTail; ///< merge scratch: one node's new edges
+    uint64_t NewEdges = 0;      ///< edges the last merge added
     std::array<std::vector<StagedRef>, NumShards> StagedRefs;
+    uint64_t StagedMask = 0; ///< bit T: the last phase staged refs for T
     std::vector<StagedFiring> Firings;
     uint64_t TotalItems = 0; ///< lifetime work items (deterministic)
     uint64_t Steals = 0;     ///< phase tasks run off their home worker
-  };
-
-  /// Solver-wide edge dedup: flat open addressing over (from, to, filter).
-  class EdgeSet {
-  public:
-    /// \returns true if the edge was not present before.
-    bool insert(NodeId From, NodeId To, ir::TypeId Filter);
-
-  private:
-    struct Key {
-      uint32_t From = Empty, To = 0, Filter = 0;
-    };
-    static constexpr uint32_t Empty = ~uint32_t(0);
-    bool insertKey(Key New);
-    void grow();
-    std::vector<Key> Slots;
-    size_t Count = 0;
   };
 
   NodeId internNode(NodeKind Kind, uint32_t A, uint32_t B);
@@ -393,24 +394,29 @@ private:
   CMethodId internCMethod(ir::MethodId M, CtxId Ctx);
 
   void propagate(NodeId N, ValueId V);
+  /// Appends the edge to \p From's unsorted tail and, if \p From holds
+  /// values, queues a whole-set replay for the next gather. O(1): the next
+  /// merge drops duplicates and counts the edge.
   void addEdge(NodeId From, NodeId To, ir::TypeId Filter = ir::TypeId::invalid());
   void addReaction(NodeId N, Reaction R);
   void applyReaction(const Reaction &R, ValueId V);
   void dispatchCatch(CMethodId CM, ValueId V);
 
   /// Round step 1: turns one shard's incoming values into deltas and
-  /// unions them into its nodes' sets — the only place sets mutate.
+  /// unions them into its nodes' sets, and folds its nodes' edge tails into
+  /// their edge lists — the only place sets and edge lists mutate.
   void mergeShard(uint32_t ShardIndex);
   /// Round step 2: stages one shard's delta edges, reactions and catches.
   /// Read-only over solver state; safe to run concurrently across shards.
   void phaseShard(uint32_t ShardIndex);
   /// Round step 3: feeds one target shard's incoming buffer from the deltas
-  /// staged against it, in canonical source-shard-major order.
+  /// staged against it and from the sets its replay refs name.
   void gatherShard(uint32_t ShardIndex);
   /// Round step 4, sequential: fires staged reactions and catches.
   void applyBarrier();
   void drainWorklist();
   void releaseRoundArenas();
+  /// Any queued incoming values, replay refs or dirty edge tails.
   bool hasPendingWork() const;
   void publishMetrics();
 
@@ -452,9 +458,11 @@ private:
 
   // Per-node state (indexed by NodeId).
   std::vector<std::vector<uint32_t>> PointsTo; ///< sorted ValueId raws
+  /// Out-edges: a prefix sorted by (target, filter) without repeats, then
+  /// an unsorted tail of edges added since the last merge.
   std::vector<std::vector<Edge>> Edges;
+  std::vector<uint32_t> EdgesSorted; ///< length of each sorted prefix
   std::vector<std::vector<Reaction>> Reactions;
-  EdgeSet EdgeKeys;
 
   // Var -> its context instances.
   std::vector<std::vector<NodeId>> VarNodes;
@@ -471,6 +479,9 @@ private:
   /// Created lazily on the first round big enough to parallelize.
   std::unique_ptr<WorkerPool> Pool;
   uint64_t ParallelRounds = 0; ///< scheduling-dependent (threshold + pool)
+  /// Wall seconds per round step, summed over rounds (volatile).
+  double MergeSeconds = 0, PhaseSeconds = 0, GatherSeconds = 0,
+         BarrierSeconds = 0;
 
   std::vector<Plugin *> Plugins;
   Stats SolverStats;

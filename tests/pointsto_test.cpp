@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Report.h"
 #include "core/Session.h"
 #include "pointsto/Solver.h"
 #include "synth/SynthApp.h"
@@ -813,6 +814,157 @@ TEST(PointsToSetStore, BarrierSelfReplaysMatchAcrossThreadCounts) {
     EXPECT_EQ(S->stats().ReactionsRun, Base->stats().ReactionsRun);
     EXPECT_EQ(S->stats().Rounds, Base->stats().Rounds);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Edge lists: appended at the barrier, deduplicated in the merge, replayed
+// in the gather
+//===----------------------------------------------------------------------===//
+
+/// Every source of repeated edges: two identical moves in one body, two
+/// identical loads (each arriving base object adds the same field edge
+/// twice in one barrier), and three receivers dispatching to the same
+/// callee context, the third a round later (argument, return and
+/// throw-to-catch edges repeat within one tail and against the merged
+/// list). Each distinct edge counts once, at every worker count.
+TEST(PointsToEdgeList, DuplicateEdgesCountOnce) {
+  SymbolTable Symbols;
+  Program P(Symbols);
+  TypeId Object =
+      P.addClass("java.lang.Object", TypeKind::Class, TypeId::invalid());
+  P.addClass("java.lang.String", TypeKind::Class, Object);
+  TypeId A = P.addClass("A", TypeKind::Class, Object);
+  TypeId Box = P.addClass("Box", TypeKind::Class, Object);
+  FieldId F = P.addField(Box, "f", Object);
+
+  // Object id(Object p) { return p; }
+  MethodBuilder IdM = P.addMethod(A, "id", {Object}, Object);
+  IdM.ret(IdM.param(0));
+
+  MethodBuilder Main = P.addMethod(A, "main", {}, TypeId::invalid(), true);
+  VarId X = Main.local("x", A), Y = Main.local("y", Object);
+  VarId B = Main.local("b", Box), L = Main.local("l", Object);
+  VarId R = Main.local("r", A), H = Main.local("h", A);
+  VarId Ret = Main.local("ret", Object);
+  Main.alloc(X, A)
+      .move(Y, X)
+      .move(Y, X) // x -> y, twice
+      .alloc(B, Box)
+      .store(B, F, X) // x -> Box.f
+      .load(L, B, F)
+      .load(L, B, F) // Box.f -> l, twice per Box object
+      .alloc(R, A)
+      .alloc(R, A)
+      .alloc(H, A)
+      .move(R, H) // h -> r; r gains h's object a round later
+      .virtualCall(Ret, R, "id", {Object}, {X});
+  P.finalize();
+  // Distinct: x->y, x->Box.f, Box.f->l, h->r, and per dispatch to
+  // id (three receivers, one context): x->p, p->ret, throw(id)->catch(main).
+  constexpr uint64_t DistinctEdges = 7;
+
+  auto solveAt = [&](unsigned Threads) {
+    auto S = std::make_unique<Solver>(P, SolverConfig{0, 0, Threads});
+    S->makeReachable(Main.id(), S->contexts().empty());
+    S->solve();
+    return S;
+  };
+  std::unique_ptr<Solver> Base = solveAt(1);
+  EXPECT_EQ(Base->stats().EdgesAdded, DistinctEdges);
+  EXPECT_EQ(Base->varPointsToSites(Ret), Base->varPointsToSites(X));
+  EXPECT_EQ(Base->varPointsToSites(L), Base->varPointsToSites(X));
+  EXPECT_EQ(Base->varPointsToSites(R).size(), 3u);
+  expectSetStoreInvariants(*Base);
+
+  for (unsigned Threads : {2u, 8u}) {
+    SCOPED_TRACE("Threads=" + std::to_string(Threads));
+    std::unique_ptr<Solver> S = solveAt(Threads);
+    ASSERT_EQ(S->nodeCount(), Base->nodeCount());
+    for (uint32_t NI = 0; NI != S->nodeCount(); ++NI)
+      EXPECT_EQ(S->pointsTo(NodeId(NI)), Base->pointsTo(NodeId(NI)));
+    EXPECT_EQ(S->stats().WorkItems, Base->stats().WorkItems);
+    EXPECT_EQ(S->stats().EdgesAdded, DistinctEdges);
+    EXPECT_EQ(S->stats().ReactionsRun, Base->stats().ReactionsRun);
+    EXPECT_EQ(S->stats().Rounds, Base->stats().Rounds);
+  }
+}
+
+/// `go() { y = (A) p; z = (A) q; }` is processed at the barrier, when the
+/// call on `t` dispatches. `p` was seeded before solving, so it already
+/// holds values when its cast edge is made; `q` is still empty and gains
+/// its values from a plugin after the first fixpoint. Both targets must
+/// end with exactly the values that pass the cast.
+TEST(PointsToEdgeList, LateEdgeReplaysWholeFilteredSet) {
+  SymbolTable Symbols;
+  Program P(Symbols);
+  TypeId Object =
+      P.addClass("java.lang.Object", TypeKind::Class, TypeId::invalid());
+  P.addClass("java.lang.String", TypeKind::Class, Object);
+  TypeId A = P.addClass("A", TypeKind::Class, Object);
+  TypeId ASub = P.addClass("ASub", TypeKind::Class, A);
+  TypeId Other = P.addClass("Other", TypeKind::Class, Object);
+  TypeId T = P.addClass("T", TypeKind::Class, Object);
+
+  MethodBuilder Go = P.addMethod(T, "go", {}, TypeId::invalid());
+  VarId Pv = Go.local("p", Object), Q = Go.local("q", Object);
+  VarId Y = Go.local("y", A), Z = Go.local("z", A);
+  Go.cast(Y, A, Pv).cast(Z, A, Q);
+
+  MethodBuilder Main = P.addMethod(T, "main", {}, TypeId::invalid(), true);
+  VarId Tv = Main.local("t", T);
+  Main.alloc(Tv, T).virtualCall(VarId::invalid(), Tv, "go", {}, {});
+  P.finalize();
+
+  Solver S(P, SolverConfig{0, 0, 1});
+  const CtxId Empty = S.contexts().empty();
+  std::vector<ValueId> All, Passing;
+  for (TypeId Ty : {A, ASub, Other}) {
+    AllocSiteId Site = P.addSyntheticObject(Ty, AllocKind::Generated, "<v>");
+    All.push_back(S.internValue(Site, Empty));
+    if (Ty != Other)
+      Passing.push_back(All.back());
+  }
+  std::vector<uint32_t> Expected;
+  for (ValueId V : Passing)
+    Expected.push_back(V.rawValue());
+  std::sort(Expected.begin(), Expected.end());
+
+  std::vector<std::unique_ptr<plugintest::OneShotSeed>> Seeds;
+  for (ValueId V : All) {
+    S.seedVar(Pv, Empty, V);
+    Seeds.push_back(std::make_unique<plugintest::OneShotSeed>(Q, V));
+    S.addPlugin(Seeds.back().get());
+  }
+  S.makeReachable(Main.id(), Empty);
+  S.solve();
+
+  ASSERT_TRUE(S.isMethodReachable(Go.id()));
+  EXPECT_GE(S.stats().PluginRounds, 2u);
+  for (VarId Source : {Pv, Q}) {
+    ASSERT_EQ(S.varInstances(Source).size(), 1u);
+    EXPECT_EQ(S.pointsTo(S.varInstances(Source)[0]).size(), All.size());
+  }
+  for (VarId Target : {Y, Z}) {
+    ASSERT_EQ(S.varInstances(Target).size(), 1u);
+    EXPECT_EQ(S.pointsTo(S.varInstances(Target)[0]), Expected);
+  }
+  expectSetStoreInvariants(S);
+}
+
+/// The per-step wall seconds are published with every solve and reach the
+/// metrics JSON (as volatile `pointsto.sched` samples).
+TEST(PointsToSched, StepSecondsReachMetricsJson) {
+  core::AnalysisSession Session;
+  core::CellResult Cell =
+      Session.open(synth::petstoreApp(), core::AnalysisKind::TwoObjH);
+  ASSERT_TRUE(Cell.ok()) << Cell.error().Message;
+  const std::string Json = core::metricsToJson(Cell->metrics());
+  for (const char *Key :
+       {"\"observed.pointsto.sched.merge_s\"",
+        "\"observed.pointsto.sched.phase_s\"",
+        "\"observed.pointsto.sched.gather_s\"",
+        "\"observed.pointsto.sched.barrier_s\""})
+    EXPECT_NE(Json.find(Key), std::string::npos) << "missing " << Key;
 }
 
 } // namespace
