@@ -228,7 +228,8 @@ AnalysisCell::buildProfile(const Metrics &M) {
   }
 
   // Points-to set census — how much interning equal sets would still
-  // save (ROADMAP item 2); `SetBytes` is the sets' real u32 footprint.
+  // save (ROADMAP item 2); `SetBytes` is the sets' size as u32 arrays
+  // (the bytes held are the solver's `pointsto.bytes.sets_*` gauges).
   // Package shares use the paper's Figure 5 attribution prefixes; the
   // `java.util` elephants show up here.
   P->Census = Solver_->censusPointsTo(

@@ -96,7 +96,10 @@ struct ProfileCensus {
   uint64_t DistinctSets = 0;    ///< distinct set contents among those
   uint64_t TotalEntries = 0;    ///< sum of set sizes
   uint64_t DistinctEntries = 0; ///< sum of sizes over distinct sets
-  uint64_t SetBytes = 0;        ///< TotalEntries * 4: the sets' u32 footprint
+  /// TotalEntries * 4: the sets' size as u32 arrays, defined by contents.
+  /// Large sets are stored as bitmaps, so the bytes held are smaller; the
+  /// solver's `pointsto.bytes.sets_*` gauges count those.
+  uint64_t SetBytes = 0;
   uint64_t ReclaimableBytes = 0; ///< SetBytes share hash-consing removes
   uint64_t MaxSetSize = 0;
   /// Power-of-two set-size histogram: bucket 0 counts size-1 sets, bucket

@@ -6,17 +6,18 @@
 
 #include "pointsto/Context.h"
 
+#include <array>
+
 using namespace jackee;
 using namespace jackee::pointsto;
 
-CtxId ContextTable::intern(std::span<const ir::AllocSiteId> Sites) {
-  std::vector<ir::AllocSiteId> Key(Sites.begin(), Sites.end());
-  auto It = Lookup.find(Key);
+CtxId ContextTable::intern(SiteSpan Sites) {
+  auto It = Lookup.find(Sites);
   if (It != Lookup.end())
     return CtxId(It->second);
   uint32_t Index = static_cast<uint32_t>(Contexts.size());
-  Contexts.push_back(Key);
-  Lookup.emplace(std::move(Key), Index);
+  Contexts.emplace_back(Sites.begin(), Sites.end());
+  Lookup.emplace(Contexts.back(), Index);
   return CtxId(Index);
 }
 
@@ -24,11 +25,17 @@ CtxId ContextTable::appendAndTruncate(CtxId Base, ir::AllocSiteId Extra,
                                       uint32_t Limit) {
   if (Limit == 0)
     return empty();
+  // suffix(Base ++ [Extra], Limit): Base's last Limit - 1 sites, then Extra.
   const std::vector<ir::AllocSiteId> &BaseSeq = elements(Base);
-  std::vector<ir::AllocSiteId> Seq(BaseSeq);
+  const size_t Keep = std::min<size_t>(BaseSeq.size(), Limit - 1);
+  std::array<ir::AllocSiteId, 8> Buffer;
+  if (Keep < Buffer.size()) {
+    std::copy(BaseSeq.end() - Keep, BaseSeq.end(), Buffer.begin());
+    Buffer[Keep] = Extra;
+    return intern(SiteSpan(Buffer.data(), Keep + 1));
+  }
+  std::vector<ir::AllocSiteId> Seq(BaseSeq.end() - Keep, BaseSeq.end());
   Seq.push_back(Extra);
-  if (Seq.size() > Limit)
-    Seq.erase(Seq.begin(), Seq.end() - Limit);
   return intern(Seq);
 }
 
@@ -36,8 +43,5 @@ CtxId ContextTable::truncate(CtxId Base, uint32_t Limit) {
   const std::vector<ir::AllocSiteId> &BaseSeq = elements(Base);
   if (BaseSeq.size() <= Limit)
     return Base;
-  if (Limit == 0)
-    return empty();
-  std::vector<ir::AllocSiteId> Seq(BaseSeq.end() - Limit, BaseSeq.end());
-  return intern(Seq);
+  return intern(SiteSpan(BaseSeq).last(Limit));
 }

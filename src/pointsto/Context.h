@@ -20,6 +20,7 @@
 #include "ir/Program.h"
 #include "support/Hashing.h"
 
+#include <algorithm>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -41,7 +42,9 @@ public:
   /// The empty (context-insensitive) context.
   CtxId empty() const { return CtxId(0); }
 
-  /// Interns \p Sites verbatim.
+  /// Interns \p Sites verbatim. None of the three entry points allocates
+  /// unless the sequence is new (or, for `appendAndTruncate`, longer than
+  /// eight sites).
   CtxId intern(std::span<const ir::AllocSiteId> Sites);
 
   /// Interns `suffix(Sites ++ [Extra], Limit)` — the "merge" operation of
@@ -58,17 +61,30 @@ public:
   size_t size() const { return Contexts.size(); }
 
 private:
+  using SiteSpan = std::span<const ir::AllocSiteId>;
+  /// Hash and equality over spans, so a lookup takes any sequence — a
+  /// suffix of a stored context, a stack buffer — without building a key
+  /// vector.
   struct SeqHash {
-    size_t operator()(const std::vector<ir::AllocSiteId> &Seq) const {
+    using is_transparent = void;
+    size_t operator()(SiteSpan Seq) const {
       size_t Seed = 0x5151u;
       for (ir::AllocSiteId Site : Seq)
         Seed = hashCombine(Seed, Site.rawValue());
       return Seed;
     }
   };
+  struct SeqEqual {
+    using is_transparent = void;
+    bool operator()(SiteSpan A, SiteSpan B) const {
+      return std::equal(A.begin(), A.end(), B.begin(), B.end());
+    }
+  };
 
   std::vector<std::vector<ir::AllocSiteId>> Contexts;
-  std::unordered_map<std::vector<ir::AllocSiteId>, uint32_t, SeqHash> Lookup;
+  std::unordered_map<std::vector<ir::AllocSiteId>, uint32_t, SeqHash,
+                     SeqEqual>
+      Lookup;
 };
 
 } // namespace pointsto

@@ -97,6 +97,16 @@ void unionFromBack(std::vector<T> &Dst, const T *New, size_t Add,
   }
 }
 
+/// Frees \p V's buffer: `V = {}` would pick the initializer-list
+/// assignment, which empties the vector but keeps its capacity.
+template <typename T> void release(std::vector<T> &V) {
+  std::vector<T>().swap(V);
+}
+
+template <typename T> uint64_t capacityBytes(const std::vector<T> &V) {
+  return uint64_t(V.capacity()) * sizeof(T);
+}
+
 } // namespace
 
 Solver::Solver(const Program &P, SolverConfig Config)
@@ -150,7 +160,7 @@ NodeId Solver::internNode(NodeKind Kind, uint32_t A, uint32_t B) {
     return NodeId(Slot);
   uint32_t Index = static_cast<uint32_t>(Nodes.size());
   Slot = Index;
-  Nodes.push_back({Kind, A, B});
+  Nodes.push_back({Kind, false, A, B});
   PointsTo.emplace_back();
   Edges.emplace_back();
   EdgesSorted.push_back(0);
@@ -207,8 +217,7 @@ bool Solver::passesFilter(ValueId V, TypeId Filter) const {
 void Solver::propagate(NodeId N, ValueId V) {
   // Sets mutate only in the merge step, so this only queues V; the set
   // check just keeps known values out of the buffer.
-  const std::vector<uint32_t> &Set = PointsTo[N.index()];
-  if (!std::binary_search(Set.begin(), Set.end(), V.rawValue()))
+  if (!pointsTo(N).contains(V.rawValue()))
     Shards[shardOf(N)].Incoming.push_back(
         packPair(N.rawValue(), V.rawValue()));
 }
@@ -219,20 +228,26 @@ void Solver::addEdge(NodeId From, NodeId To, TypeId Filter) {
   // From's next delta along it; the next gather sends the set From holds
   // by then, which covers everything the delta misses.
   std::vector<Edge> &List = Edges[From.index()];
+  Shard &FromShard = Shards[shardOf(From)];
   if (List.size() == EdgesSorted[From.index()])
-    Shards[shardOf(From)].DirtyEdges.push_back(From.index());
+    FromShard.DirtyEdges.push_back(From.index());
+  FromShard.EdgeBytes -= capacityBytes(List);
   List.push_back({To, Filter});
+  FromShard.EdgeBytes += capacityBytes(List);
   if (!PointsTo[From.index()].empty())
     Shards[shardOf(To)].Replays.push_back(
         {To.index(), ReplayShard, From.index(), Filter});
 }
 
 void Solver::addReaction(NodeId N, Reaction R) {
-  Reactions[N.index()].push_back(R);
-  // Re-index every iteration: reactions intern nodes, which reallocates
-  // the outer table (the set itself cannot change before the next merge).
-  for (size_t I = 0, E = PointsTo[N.index()].size(); I != E; ++I)
-    applyReaction(R, ValueId(PointsTo[N.index()][I]));
+  std::vector<Reaction> &List = Reactions[N.index()];
+  ReactionBytes -= capacityBytes(List);
+  List.push_back(R);
+  ReactionBytes += capacityBytes(List);
+  // Reactions intern nodes, which reallocates the per-node tables but not
+  // the set's own buffer, and the set cannot change before the next merge,
+  // so the view stays valid throughout.
+  pointsTo(N).forEach([&](uint32_t V) { applyReaction(R, ValueId(V)); });
 }
 
 void Solver::applyReaction(const Reaction &R, ValueId V) {
@@ -417,9 +432,60 @@ void Solver::seedObjectField(ValueId Base, FieldId F, ValueId V) {
   propagate(fieldNode(Base, F), V);
 }
 
+void Solver::unionIntoSet(uint32_t NIdx, const uint32_t *New, uint32_t Add) {
+  // The form is a function of the contents alone — dense iff the array
+  // would be longer than the bitmap — so equal sets are stored alike.
+  std::vector<uint32_t> &Raw = PointsTo[NIdx];
+  Node &N = Nodes[NIdx];
+  const SetView Old = pointsTo(NodeId(NIdx));
+  const size_t Size = Old.size() + Add;
+  uint32_t LastWord = New[Add - 1] >> 5;
+  if (N.Dense)
+    LastWord = std::max(LastWord, static_cast<uint32_t>(Raw.size() - 2));
+  else if (!Raw.empty())
+    LastWord = std::max(LastWord, Raw.back() >> 5);
+  const bool Dense = Size > size_t(LastWord) + 1;
+
+  if (!Dense && !N.Dense) {
+    unionFromBack(Raw, New, Add, std::less<uint32_t>());
+    return;
+  }
+  if (Dense && N.Dense) {
+    // Grow to exactly the words needed; geometric slack would undo much
+    // of what the bitmap saves.
+    if (Raw.size() < size_t(LastWord) + 2) {
+      Raw.reserve(size_t(LastWord) + 2);
+      Raw.resize(size_t(LastWord) + 2, 0);
+    }
+    for (uint32_t I = 0; I != Add; ++I)
+      Raw[1 + (New[I] >> 5)] |= uint32_t(1) << (New[I] & 31);
+    Raw[0] += Add;
+    return;
+  }
+  // The form changes: rebuild the set in the other form.
+  std::vector<uint32_t> Rebuilt;
+  if (Dense) {
+    Rebuilt.assign(size_t(LastWord) + 2, 0);
+    Rebuilt[0] = static_cast<uint32_t>(Size);
+    auto SetBit = [&Rebuilt](uint32_t V) {
+      Rebuilt[1 + (V >> 5)] |= uint32_t(1) << (V & 31);
+    };
+    Old.forEach(SetBit);
+    std::for_each(New, New + Add, SetBit);
+  } else {
+    // A bitmap that received a value far past its last word.
+    Rebuilt.reserve(Size);
+    Old.forEach([&Rebuilt](uint32_t V) { Rebuilt.push_back(V); });
+    unionFromBack(Rebuilt, New, Add, std::less<uint32_t>());
+  }
+  Raw.swap(Rebuilt);
+  N.Dense = Dense;
+}
+
 void Solver::mergeShard(uint32_t ShardIndex) {
-  // Only this task touches the shard's incoming buffer, deltas, and the
-  // sets of its nodes, so concurrent merges cannot race. The outcome
+  // Only this task touches the shard's incoming buffer, deltas, byte
+  // counts, and the sets (and form flags) of its nodes, so concurrent
+  // merges cannot race. The outcome
   // depends only on the incoming *multiset*, never on its order. Every
   // appender checked membership, and sets change only here, so after
   // dedup each incoming value is new: a node's run is its delta.
@@ -437,8 +503,10 @@ void Solver::mergeShard(uint32_t ShardIndex) {
     const uint32_t Size =
         static_cast<uint32_t>(S.DeltaValues.size()) - Begin;
     S.Deltas.push_back({NodeId(NIdx), Begin, Size});
-    unionFromBack(PointsTo[NIdx], S.DeltaValues.data() + Begin, Size,
-                  std::less<uint32_t>());
+    const std::vector<uint32_t> &Set = PointsTo[NIdx];
+    S.SetBytes[Nodes[NIdx].Dense] -= capacityBytes(Set);
+    unionIntoSet(NIdx, S.DeltaValues.data() + Begin, Size);
+    S.SetBytes[Nodes[NIdx].Dense] += capacityBytes(Set);
   }
   // Release rather than clear: shards peak in different rounds, and kept
   // capacities would add up across all 64 of them.
@@ -454,6 +522,7 @@ void Solver::mergeShard(uint32_t ShardIndex) {
   S.NewEdges = 0;
   for (uint32_t NIdx : S.DirtyEdges) {
     std::vector<Edge> &List = Edges[NIdx];
+    S.EdgeBytes -= capacityBytes(List);
     const auto Prefix = List.begin() + EdgesSorted[NIdx];
     std::sort(Prefix, List.end(), EdgeLess);
     S.EdgeTail.clear();
@@ -464,6 +533,7 @@ void Solver::mergeShard(uint32_t ShardIndex) {
     List.erase(Prefix, List.end());
     unionFromBack(List, S.EdgeTail.data(), S.EdgeTail.size(), EdgeLess);
     EdgesSorted[NIdx] = static_cast<uint32_t>(List.size());
+    S.EdgeBytes += capacityBytes(List);
     S.NewEdges += S.EdgeTail.size();
   }
   S.DirtyEdges.clear();
@@ -511,26 +581,22 @@ void Solver::gatherShard(uint32_t ShardIndex) {
             });
   for (size_t I = 0, E = Refs.size(); I != E;) {
     const uint32_t Target = Refs[I].Target;
-    const std::vector<uint32_t> &Set = PointsTo[Target];
+    const SetView Set = pointsTo(NodeId(Target));
     StampSet &Seen = emptyStampSet(Values.size());
     for (; I != E && Refs[I].Target == Target; ++I) {
-      const uint32_t *Vals;
-      size_t Size;
+      const TypeId Filter = Refs[I].Filter;
+      auto Offer = [&](uint32_t V) {
+        if (passesFilter(ValueId(V), Filter) && Seen.insert(V) &&
+            !Set.contains(V))
+          T.Incoming.push_back(packPair(Target, V));
+      };
       if (Refs[I].Shard == ReplayShard) {
-        const std::vector<uint32_t> &Whole = PointsTo[Refs[I].Source];
-        Vals = Whole.data();
-        Size = Whole.size();
+        pointsTo(NodeId(Refs[I].Source)).forEach(Offer);
       } else {
         const Shard &Src = Shards[Refs[I].Shard];
         const Delta &D = Src.Deltas[Refs[I].Source];
-        Vals = Src.DeltaValues.data() + D.Begin;
-        Size = D.Size;
-      }
-      for (size_t K = 0; K != Size; ++K) {
-        const uint32_t V = Vals[K];
-        if (passesFilter(ValueId(V), Refs[I].Filter) && Seen.insert(V) &&
-            !std::binary_search(Set.begin(), Set.end(), V))
-          T.Incoming.push_back(packPair(Target, V));
+        const uint32_t *Vals = Src.DeltaValues.data() + D.Begin;
+        std::for_each(Vals, Vals + D.Size, Offer);
       }
     }
   }
@@ -620,15 +686,15 @@ void Solver::drainWorklist() {
 
 void Solver::releaseRoundArenas() {
   for (Shard &S : Shards) {
-    S.Incoming = {};
-    S.DirtyEdges = {};
-    S.Replays = {};
-    S.EdgeTail = {};
-    S.Deltas = {};
-    S.DeltaValues = {};
+    release(S.Incoming);
+    release(S.DirtyEdges);
+    release(S.Replays);
+    release(S.EdgeTail);
+    release(S.Deltas);
+    release(S.DeltaValues);
     for (std::vector<StagedRef> &Bucket : S.StagedRefs)
-      Bucket = {};
-    S.Firings = {};
+      release(Bucket);
+    release(S.Firings);
   }
 }
 
@@ -665,6 +731,32 @@ void Solver::publishMetrics() {
   for (const Shard &S : Shards)
     Registry->observe("pointsto.shard.work_items",
                       static_cast<double>(S.TotalItems));
+  // Owned bytes, from capacities (sets, edge and reaction lists are
+  // counted as they grow). Every buffer grows along the fixpoint
+  // trajectory, so these are thread-count-invariant too.
+  uint64_t SetsArray = 0, SetsDense = 0, EdgeBytes = 0, ArenaBytes = 0;
+  for (const Shard &S : Shards) {
+    SetsArray += S.SetBytes[0];
+    SetsDense += S.SetBytes[1];
+    EdgeBytes += S.EdgeBytes;
+    ArenaBytes += capacityBytes(S.Incoming) + capacityBytes(S.DirtyEdges) +
+                  capacityBytes(S.Replays) + capacityBytes(S.EdgeTail) +
+                  capacityBytes(S.Deltas) + capacityBytes(S.DeltaValues) +
+                  capacityBytes(S.Firings);
+    for (const std::vector<StagedRef> &Bucket : S.StagedRefs)
+      ArenaBytes += capacityBytes(Bucket);
+  }
+  Registry->set("pointsto.bytes.sets_array", static_cast<double>(SetsArray));
+  Registry->set("pointsto.bytes.sets_dense", static_cast<double>(SetsDense));
+  Registry->set("pointsto.bytes.edges", static_cast<double>(EdgeBytes));
+  Registry->set("pointsto.bytes.nodes",
+                static_cast<double>(
+                    capacityBytes(Nodes) + capacityBytes(NodeSlots) +
+                    capacityBytes(PointsTo) + capacityBytes(Edges) +
+                    capacityBytes(EdgesSorted) + capacityBytes(Reactions) +
+                    ReactionBytes));
+  Registry->set("pointsto.bytes.round_arenas",
+                static_cast<double>(ArenaBytes));
   // Scheduling-dependent samples (vary with Threads and the OS scheduler;
   // cross-thread-count diffs must filter these).
   Registry->set("pointsto.sched.threads", Config.Threads);
@@ -693,11 +785,11 @@ std::vector<AllocSiteId> Solver::varPointsToSites(VarId Var) const {
   StampSet &Sites = emptyStampSet(P.allocSiteCount());
   std::vector<AllocSiteId> Result;
   for (NodeId N : varInstances(Var))
-    for (uint32_t Raw : PointsTo[N.index()]) {
+    pointsTo(N).forEach([&](uint32_t Raw) {
       AllocSiteId Site = Values[Raw].Site;
       if (Sites.insert(Site.index()))
         Result.push_back(Site);
-    }
+    });
   // Canonical order: equal site sets compare equal even when propagation
   // reached them along different round schedules.
   std::sort(Result.begin(), Result.end());
@@ -725,7 +817,7 @@ uint64_t Solver::varPointsToTuples(std::string_view PackagePrefix) const {
     const std::string &ClassName = P.symbols().text(P.type(Declaring).Name);
     if (std::string_view(ClassName).substr(0, PackagePrefix.size()) ==
         PackagePrefix)
-      Total += PointsTo[I].size();
+      Total += pointsTo(NodeId(I)).size();
   }
   return Total;
 }
@@ -734,7 +826,7 @@ uint64_t Solver::varPointsToTuplesTotal() const {
   uint64_t Total = 0;
   for (size_t I = 0, E = Nodes.size(); I != E; ++I)
     if (Nodes[I].Kind == NodeKind::Var)
-      Total += PointsTo[I].size();
+      Total += pointsTo(NodeId(I)).size();
   return Total;
 }
 
@@ -755,8 +847,9 @@ double Solver::averageVarPointsTo(bool AppOnly) const {
     StampSet &Sites = emptyStampSet(P.allocSiteCount());
     uint64_t Distinct = 0;
     for (NodeId N : VarNodes[VI])
-      for (uint32_t Raw : PointsTo[N.index()])
+      pointsTo(N).forEach([&](uint32_t Raw) {
         Distinct += Sites.insert(Values[Raw].Site.index());
+      });
     Sum += Distinct;
     Pointing += Distinct != 0;
   }
@@ -768,14 +861,14 @@ double Solver::averageVarPointsTo(bool AppOnly) const {
 observe::ProfileCensus Solver::censusPointsTo(
     const std::vector<std::string> &PackagePrefixes) const {
   observe::ProfileCensus C;
-  // Exact distinct-set accounting: sets are sorted, so equal contents are
-  // equal vectors and sorting pointers to them groups the duplicates.
-  std::vector<const std::vector<uint32_t> *> Sets;
+  // Exact distinct-set accounting: sorting the sets by contents groups
+  // the duplicates.
+  std::vector<SetView> Sets;
   for (size_t I = 0, E = Nodes.size(); I != E; ++I) {
     if (Nodes[I].Kind != NodeKind::Var)
       continue;
     ++C.VarNodes;
-    const std::vector<uint32_t> &Set = PointsTo[I];
+    const SetView Set = pointsTo(NodeId(I));
     if (Set.empty())
       continue;
     ++C.NonEmptySets;
@@ -787,16 +880,16 @@ observe::ProfileCensus Solver::censusPointsTo(
     if (C.Histogram.size() <= Bucket)
       C.Histogram.resize(Bucket + 1, 0);
     ++C.Histogram[Bucket];
-    Sets.push_back(&Set);
+    Sets.push_back(Set);
   }
-  std::sort(Sets.begin(), Sets.end(),
-            [](const std::vector<uint32_t> *A, const std::vector<uint32_t> *B) {
-              return *A < *B;
-            });
+  std::sort(Sets.begin(), Sets.end(), [](const SetView &A, const SetView &B) {
+    return std::lexicographical_compare(A.begin(), A.end(), B.begin(),
+                                        B.end());
+  });
   for (size_t I = 0, E = Sets.size(); I != E; ++I)
-    if (I == 0 || *Sets[I] != *Sets[I - 1]) {
+    if (I == 0 || Sets[I] != Sets[I - 1]) {
       ++C.DistinctSets;
-      C.DistinctEntries += Sets[I]->size();
+      C.DistinctEntries += Sets[I].size();
     }
   C.SetBytes = C.TotalEntries * sizeof(uint32_t);
   C.ReclaimableBytes =

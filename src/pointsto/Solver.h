@@ -29,17 +29,27 @@
 /// precision (Section 4 of the paper): the receiver is an internal TreeNode
 /// allocation, so the context no longer distinguishes the map's clients.
 ///
-/// Points-to sets are flat sorted `uint32_t` arrays of value ids, and the
-/// drain is *sharded, bulk-synchronous difference propagation* (DESIGN.md
-/// §11). Values bound for a node first land in its shard's incoming buffer;
-/// a new edge lands in its source's unsorted edge tail and, if the source
-/// already holds values, as a whole-set replay ref in its target's shard.
+/// A points-to set takes one of two forms, chosen from its contents after
+/// every merge: a sorted `uint32_t` array of value ids, or — once the array
+/// would be longer than a bitmap over ids up to its largest, i.e. once
+/// `size > (max >> 5) + 1` — a count word followed by exactly
+/// `(max >> 5) + 1` bitmap words (bit v set iff value v is in the set).
+/// The large sets the `java.util` caches build are drawn from a few
+/// thousand values, so the bitmaps hold them in about a quarter of the
+/// array bytes. `pointsTo` reads either form as one ascending `SetView`.
+///
+/// The drain is *sharded, bulk-synchronous difference propagation*
+/// (DESIGN.md §11). Values bound for a node first land in its shard's
+/// incoming buffer; a new edge lands in its source's unsorted edge tail
+/// and, if the source already holds values, as a whole-set replay ref in
+/// its target's shard.
 /// Each round then runs four steps:
 ///
 ///   1. merge   (parallel per target shard): sort and unique each node's
 ///              incoming values — every appender already dropped values the
 ///              set holds — making them the node's delta, and union them
-///              into the set; sort each dirty edge tail, drop the edges the
+///              into the set, switching its form if the rule above says
+///              so; sort each dirty edge tail, drop the edges the
 ///              list already has, and union the rest into the list;
 ///   2. phase   (parallel per source shard): walk the deltas, staging one
 ///              (target, source delta, filter) reference per edge plus the
@@ -54,8 +64,9 @@
 /// Sets and edge lists mutate only in the merge step; everything else —
 /// the barrier, plugins and seeds — only appends: incoming values, edge
 /// tails and replay refs. The shard count is a constant, independent of
-/// `SolverConfig::Threads`, sets and edge lists are sort-canonical, and
-/// interning happens only at the barrier, so the fixpoint — points-to sets,
+/// `SolverConfig::Threads`, sets and edge lists are sort-canonical, a set's
+/// form is a function of its contents, and interning happens only at the
+/// barrier, so the fixpoint — points-to sets,
 /// call graph, stats, and provenance — is bit-identical at every thread
 /// count, including 1.
 ///
@@ -76,7 +87,10 @@
 #include "pointsto/Context.h"
 #include "support/DenseSet.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <iterator>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -113,6 +127,127 @@ struct SolverConfig {
 };
 
 class Solver;
+
+/// A read-only view of one node's points-to set: the value ids (raw
+/// `ValueId` indexes) in strictly ascending order, whichever form the set
+/// is stored in. It holds the set's own data pointer, not a reference into
+/// the solver's per-node table, so it stays valid while the solver interns
+/// nodes; it is invalidated by the next merge (`solve()`). Never allocates.
+class SetView {
+public:
+  class Iterator {
+  public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = uint32_t;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const uint32_t *;
+    using reference = uint32_t;
+
+    Iterator() = default;
+    uint32_t operator*() const {
+      if (!Dense)
+        return *At;
+      return Base + static_cast<uint32_t>(std::countr_zero(Bits));
+    }
+    Iterator &operator++() {
+      if (!Dense) {
+        ++At;
+        return *this;
+      }
+      Bits &= Bits - 1;
+      skipEmptyWords();
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator Old = *this;
+      ++*this;
+      return Old;
+    }
+    friend bool operator==(const Iterator &A, const Iterator &B) {
+      return A.At == B.At && A.Bits == B.Bits;
+    }
+
+  private:
+    friend class SetView;
+    /// An array cursor at \p At, or a bitmap cursor at word \p At whose
+    /// unvisited bits are \p Bits.
+    Iterator(const uint32_t *At, const uint32_t *End, uint32_t Bits,
+             bool Dense)
+        : At(At), End(End), Bits(Bits), Dense(Dense) {}
+    void skipEmptyWords() {
+      while (Bits == 0 && ++At != End) {
+        Bits = *At;
+        Base += 32;
+      }
+    }
+
+    const uint32_t *At = nullptr;
+    const uint32_t *End = nullptr;
+    uint32_t Bits = 0;
+    uint32_t Base = 0; ///< value id of bit 0 of word `At`
+    bool Dense = false;
+  };
+  using iterator = Iterator;
+  using const_iterator = Iterator;
+  using value_type = uint32_t;
+
+  SetView() = default;
+
+  size_t size() const { return Size; }
+  bool empty() const { return Size == 0; }
+  bool contains(uint32_t V) const {
+    if (Dense)
+      return (V >> 5) < Len && (Data[V >> 5] >> (V & 31) & 1);
+    return std::binary_search(Data, Data + Len, V);
+  }
+
+  Iterator begin() const {
+    if (!Dense)
+      return Iterator(Data, Data + Len, 0, false);
+    Iterator It(Data, Data + Len, Data[0], true);
+    It.skipEmptyWords();
+    return It;
+  }
+  Iterator end() const { return Iterator(Data + Len, Data + Len, 0, Dense); }
+
+  /// Calls \p Fn on each value in ascending order; a bitmap is walked word
+  /// by word, which is cheaper than the iterators.
+  template <typename FnT> void forEach(FnT &&Fn) const {
+    if (!Dense) {
+      for (uint32_t I = 0; I != Len; ++I)
+        Fn(Data[I]);
+      return;
+    }
+    for (uint32_t W = 0; W != Len; ++W)
+      for (uint32_t Bits = Data[W]; Bits != 0; Bits &= Bits - 1)
+        Fn((W << 5) + static_cast<uint32_t>(std::countr_zero(Bits)));
+  }
+
+  std::vector<uint32_t> toVector() const {
+    std::vector<uint32_t> Out;
+    Out.reserve(Size);
+    forEach([&Out](uint32_t V) { Out.push_back(V); });
+    return Out;
+  }
+
+  friend bool operator==(const SetView &A, const SetView &B) {
+    return A.Size == B.Size && std::equal(A.begin(), A.end(), B.begin());
+  }
+  friend bool operator==(const SetView &A, const std::vector<uint32_t> &B) {
+    return A.Size == B.size() && std::equal(A.begin(), A.end(), B.begin());
+  }
+
+private:
+  friend class Solver;
+  /// \p Len array entries, or \p Len bitmap words holding \p Size values.
+  SetView(const uint32_t *Data, uint32_t Len, uint32_t Size, bool Dense)
+      : Data(Data), Len(Len), Size(Size), Dense(Dense) {}
+
+  const uint32_t *Data = nullptr;
+  uint32_t Len = 0;
+  uint32_t Size = 0;
+  bool Dense = false;
+};
 
 /// Extension hook, run at every intermediate fixpoint. The framework layer
 /// uses this to evaluate its Datalog rules against current analysis results
@@ -154,7 +289,12 @@ public:
   /// plus scheduling-dependent `pointsto.shard.steals` /
   /// `pointsto.sched.*` samples, among them the wall seconds each round
   /// step took, summed over rounds (`pointsto.sched.merge_s`, `.phase_s`,
-  /// `.gather_s`, `.barrier_s`).
+  /// `.gather_s`, `.barrier_s`). The `pointsto.bytes.*` gauges are the
+  /// bytes the solver owns, from capacities: array sets (`sets_array`),
+  /// bitmap sets (`sets_dense`), edge lists (`edges`), the per-node tables
+  /// and reaction lists (`nodes`), and the round arenas (`round_arenas`,
+  /// 0 once `solve()` returns). They follow the fixpoint trajectory, so
+  /// they too are thread-count-invariant.
   void setMetricsRegistry(observe::MetricsRegistry *R) { Registry = R; }
 
   // --- Seeding (used by drivers and the framework layer) -----------------
@@ -204,8 +344,13 @@ public:
   uint32_t nodeCount() const { return static_cast<uint32_t>(Nodes.size()); }
 
   /// Points-to set of one node: ValueId raw indexes, strictly ascending.
-  const std::vector<uint32_t> &pointsTo(NodeId N) const {
-    return PointsTo[N.index()];
+  SetView pointsTo(NodeId N) const {
+    const std::vector<uint32_t> &Raw = PointsTo[N.index()];
+    if (!Nodes[N.index()].Dense)
+      return SetView(Raw.data(), static_cast<uint32_t>(Raw.size()),
+                     static_cast<uint32_t>(Raw.size()), false);
+    return SetView(Raw.data() + 1, static_cast<uint32_t>(Raw.size() - 1),
+                   Raw[0], true);
   }
 
   /// Context-insensitive projection: distinct allocation sites pointed to by
@@ -256,9 +401,10 @@ public:
   double averageVarPointsTo(bool AppOnly) const;
 
   /// The points-to set census of DESIGN.md §14: groups every var node's
-  /// (sorted) set by contents to count distinct vs total sets, a
-  /// power-of-two size histogram, the real u32 footprint of the sets
-  /// (`SetBytes`), and the bytes interning equal sets (ROADMAP item 2)
+  /// set by contents to count distinct vs total sets, a power-of-two size
+  /// histogram, the sets' size as u32 arrays (`SetBytes`, defined by
+  /// contents; the bytes actually held are the `pointsto.bytes.sets_*`
+  /// gauges), and the share of it interning equal sets (ROADMAP item 2)
   /// would reclaim. One `PackageShare` row per entry of \p PackagePrefixes
   /// (`varPointsToTuples` on each — where the paper's `java.util` elephants
   /// light up). Run at fixpoint; every field is deterministic at any
@@ -295,6 +441,8 @@ private:
 
   struct Node {
     NodeKind Kind;
+    /// The set is a bitmap, not an array. Sits in what would be padding.
+    bool Dense = false;
     uint32_t A = 0; ///< kind-dependent payload
     uint32_t B = 0;
   };
@@ -357,11 +505,12 @@ private:
   };
 
   /// Per-shard drain state. The merge of shard S writes only S's incoming
-  /// buffer, deltas, dirty list, and the sets and edge lists of S's nodes;
-  /// the phase of S only S's staging vectors; the gather of S reads every
-  /// shard's deltas but writes only S's incoming buffer and the refs
-  /// addressed to S. Deltas and staging are round arenas, reused every
-  /// round and released when `solve()` returns.
+  /// buffer, deltas, dirty list, byte counts, and the sets (with their
+  /// form flags) and edge lists of S's nodes; the phase of S only S's
+  /// staging vectors; the gather of S reads every shard's deltas but
+  /// writes only S's incoming buffer and the refs addressed to S. Deltas
+  /// and staging are round arenas, reused every round and released when
+  /// `solve()` returns.
   struct Shard {
     /// packPair(node, value) bound for this shard's nodes; next merge input.
     std::vector<uint64_t> Incoming;
@@ -377,6 +526,11 @@ private:
     std::array<std::vector<StagedRef>, NumShards> StagedRefs;
     uint64_t StagedMask = 0; ///< bit T: the last phase staged refs for T
     std::vector<StagedFiring> Firings;
+    /// Capacity bytes of this shard's nodes' sets, by form (index: the
+    /// node's `Dense` flag), and of their edge lists. Kept current where
+    /// they grow, so publishing them does not walk every node.
+    std::array<uint64_t, 2> SetBytes = {};
+    uint64_t EdgeBytes = 0;
     uint64_t TotalItems = 0; ///< lifetime work items (deterministic)
     uint64_t Steals = 0;     ///< phase tasks run off their home worker
   };
@@ -402,6 +556,9 @@ private:
   void applyReaction(const Reaction &R, ValueId V);
   void dispatchCatch(CMethodId CM, ValueId V);
 
+  /// Unions the sorted run \p New[0, Add), none of whose values node
+  /// \p NIdx holds, into its set, and picks the set's form from the result.
+  void unionIntoSet(uint32_t NIdx, const uint32_t *New, uint32_t Add);
   /// Round step 1: turns one shard's incoming values into deltas and
   /// unions them into its nodes' sets, and folds its nodes' edge tails into
   /// their edge lists — the only place sets and edge lists mutate.
@@ -457,12 +614,15 @@ private:
   std::unordered_map<uint64_t, uint32_t> CMethodLookup;
 
   // Per-node state (indexed by NodeId).
-  std::vector<std::vector<uint32_t>> PointsTo; ///< sorted ValueId raws
+  /// Sorted ValueId raws, or, if the node is `Dense`, the set's size
+  /// followed by its bitmap words (see `pointsTo`).
+  std::vector<std::vector<uint32_t>> PointsTo;
   /// Out-edges: a prefix sorted by (target, filter) without repeats, then
   /// an unsorted tail of edges added since the last merge.
   std::vector<std::vector<Edge>> Edges;
   std::vector<uint32_t> EdgesSorted; ///< length of each sorted prefix
   std::vector<std::vector<Reaction>> Reactions;
+  uint64_t ReactionBytes = 0; ///< capacity bytes of the reaction lists
 
   // Var -> its context instances.
   std::vector<std::vector<NodeId>> VarNodes;

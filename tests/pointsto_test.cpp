@@ -6,12 +6,15 @@
 
 #include "core/Report.h"
 #include "core/Session.h"
+#include "observe/Metrics.h"
 #include "pointsto/Solver.h"
 #include "synth/SynthApp.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -27,7 +30,7 @@ namespace {
 void expectSetStoreInvariants(const Solver &S) {
   uint64_t Entries = 0;
   for (uint32_t NI = 0; NI != S.nodeCount(); ++NI) {
-    const std::vector<uint32_t> &Set = S.pointsTo(NodeId(NI));
+    const std::vector<uint32_t> Set = S.pointsTo(NodeId(NI)).toVector();
     EXPECT_TRUE(std::adjacent_find(Set.begin(), Set.end(),
                                    [](uint32_t A, uint32_t B) {
                                      return A >= B;
@@ -723,7 +726,8 @@ TEST_F(PointsToSetOrder, LateLowerValueIdMergesInOrder) {
 
   auto S = analyze(Main.id(), 0, 0); // checks every set ascends
   ASSERT_EQ(S->varInstances(X).size(), 1u);
-  const std::vector<uint32_t> &Set = S->pointsTo(S->varInstances(X)[0]);
+  const std::vector<uint32_t> Set =
+      S->pointsTo(S->varInstances(X)[0]).toVector();
   ASSERT_EQ(Set.size(), 2u);
   EXPECT_EQ(S->valueSiteId(ValueId(Set[0])), S->varPointsToSites(First)[0]);
   EXPECT_EQ(S->valueSiteId(ValueId(Set[1])), S->varPointsToSites(Second)[0]);
@@ -965,6 +969,347 @@ TEST(PointsToSched, StepSecondsReachMetricsJson) {
         "\"observed.pointsto.sched.gather_s\"",
         "\"observed.pointsto.sched.barrier_s\""})
     EXPECT_NE(Json.find(Key), std::string::npos) << "missing " << Key;
+}
+
+//===----------------------------------------------------------------------===//
+// Dense sets: bitmaps for sets longer than their bitmap, arrays otherwise
+//===----------------------------------------------------------------------===//
+
+/// The value of gauge \p Name in \p R.
+double gaugeValue(const observe::MetricsRegistry &R, std::string_view Name) {
+  for (const observe::MetricsRegistry::Sample &Sample : R.snapshot())
+    if (Sample.Name == Name)
+      return Sample.Value;
+  ADD_FAILURE() << "no sample " << Name;
+  return -1;
+}
+
+/// Seeds one batch of (variable, value) pairs per fixpoint, after calling
+/// `Check` with the number of batches seeded so far.
+class BatchSeeder : public Plugin {
+public:
+  struct Seed {
+    VarId Var;
+    ValueId V;
+  };
+  std::vector<std::vector<Seed>> Batches;
+  std::function<void(Solver &, size_t)> Check;
+
+  bool onFixpoint(Solver &S) override {
+    Check(S, Next);
+    if (Next == Batches.size())
+      return false;
+    for (const Seed &Sd : Batches[Next])
+      S.seedVar(Sd.Var, S.contexts().empty(), Sd.V);
+    ++Next;
+    return true;
+  }
+
+private:
+  size_t Next = 0;
+};
+
+/// A program with `main` holding the given locals, plus \p Values synthetic
+/// objects interned as value ids 0 .. Values - 1.
+struct DenseFixture {
+  SymbolTable Symbols;
+  Program P{Symbols};
+  TypeId Object =
+      P.addClass("java.lang.Object", TypeKind::Class, TypeId::invalid());
+  TypeId StringTy = P.addClass("java.lang.String", TypeKind::Class, Object);
+  TypeId A = P.addClass("A", TypeKind::Class, Object);
+  MethodBuilder Main = P.addMethod(A, "main", {}, TypeId::invalid(), true);
+};
+
+/// x becomes a bitmap mid-solve, then receives a value below its first
+/// set bit and one past its last word; w becomes a bitmap and then turns
+/// back into an array when a value far past its last word arrives. The
+/// sets read the same through every merge, and the byte gauges pin each
+/// set's final form and exact size.
+TEST(PointsToDenseSet, CrossesThresholdThenTakesLowerAndFarIds) {
+  DenseFixture F;
+  VarId X = F.Main.local("x", F.Object), W = F.Main.local("w", F.Object);
+  F.P.finalize();
+
+  Solver S(F.P, SolverConfig{0, 0, 1});
+  std::vector<ValueId> Vals;
+  for (int I = 0; I != 301; ++I)
+    Vals.push_back(S.internValue(
+        F.P.addSyntheticObject(F.A, AllocKind::Generated, "<v>"),
+        S.contexts().empty()));
+  ASSERT_EQ(Vals.back().rawValue(), 300u);
+
+  BatchSeeder Seeder;
+  auto Batch = [&](std::vector<std::pair<VarId, uint32_t>> Seeds) {
+    std::vector<BatchSeeder::Seed> Out;
+    for (auto [Var, V] : Seeds)
+      Out.push_back({Var, Vals[V]});
+    Seeder.Batches.push_back(Out);
+  };
+  // x: {64, 70, 90} is an array (3 values, 3 words); five more make it a
+  // bitmap whose first two words are empty.
+  Batch({{X, 64}, {X, 70}, {X, 90}});
+  Batch({{X, 91}, {X, 92}, {X, 93}, {X, 94}, {X, 95}, {W, 0}, {W, 1},
+         {W, 2}, {W, 3}, {W, 4}, {W, 5}, {W, 6}, {W, 7}});
+  Batch({{X, 5}, {W, 300}}); // 9 values in w's 10 words: an array again
+  Batch({{X, 130}});         // x grows from 3 to 5 words
+  const std::vector<std::vector<uint32_t>> XAfter = {
+      {},
+      {64, 70, 90},
+      {64, 70, 90, 91, 92, 93, 94, 95},
+      {5, 64, 70, 90, 91, 92, 93, 94, 95},
+      {5, 64, 70, 90, 91, 92, 93, 94, 95, 130}};
+  const std::vector<std::vector<uint32_t>> WAfter = {
+      {}, {}, {0, 1, 2, 3, 4, 5, 6, 7}, {0, 1, 2, 3, 4, 5, 6, 7, 300},
+      {0, 1, 2, 3, 4, 5, 6, 7, 300}};
+  size_t Checks = 0;
+  Seeder.Check = [&](Solver &Sv, size_t Merged) {
+    ++Checks;
+    for (auto [Var, After] : {std::pair{X, &XAfter}, std::pair{W, &WAfter}}) {
+      if (Sv.varInstances(Var).empty()) {
+        EXPECT_TRUE((*After)[Merged].empty());
+        continue;
+      }
+      const SetView Set = Sv.pointsTo(Sv.varInstances(Var)[0]);
+      const std::vector<uint32_t> &Want = (*After)[Merged];
+      EXPECT_EQ(Set, Want) << "after batch " << Merged;
+      EXPECT_EQ(Set.toVector(), Want);
+      for (uint32_t V : {0u, 5u, 6u, 31u, 63u, 64u, 95u, 96u, 129u, 130u,
+                         131u, 300u, 5000u})
+        EXPECT_EQ(Set.contains(V),
+                  std::binary_search(Want.begin(), Want.end(), V))
+            << "value " << V << " after batch " << Merged;
+    }
+  };
+  S.addPlugin(&Seeder);
+  observe::MetricsRegistry Registry;
+  S.setMetricsRegistry(&Registry);
+  S.solve();
+
+  EXPECT_EQ(Checks, Seeder.Batches.size() + 1);
+  expectSetStoreInvariants(S);
+  // x: a size word and exactly 5 bitmap words; w: an array rebuilt at
+  // exactly its 9 values.
+  EXPECT_EQ(gaugeValue(Registry, "pointsto.bytes.sets_dense"), 6 * 4);
+  EXPECT_EQ(gaugeValue(Registry, "pointsto.bytes.sets_array"), 9 * 4);
+}
+
+/// `go() { y = (A) p; }` is processed at the barrier, after `p` — seeded
+/// with 96 values of three types before solving — became a bitmap. The
+/// replay walks the bitmap through the cast filter.
+TEST(PointsToDenseSet, ReplayFromBitmapThroughCastFilter) {
+  SymbolTable Symbols;
+  Program P(Symbols);
+  TypeId Object =
+      P.addClass("java.lang.Object", TypeKind::Class, TypeId::invalid());
+  P.addClass("java.lang.String", TypeKind::Class, Object);
+  TypeId A = P.addClass("A", TypeKind::Class, Object);
+  TypeId ASub = P.addClass("ASub", TypeKind::Class, A);
+  TypeId Other = P.addClass("Other", TypeKind::Class, Object);
+  TypeId T = P.addClass("T", TypeKind::Class, Object);
+
+  MethodBuilder Go = P.addMethod(T, "go", {}, TypeId::invalid());
+  VarId Pv = Go.local("p", Object), Y = Go.local("y", A);
+  Go.cast(Y, A, Pv);
+  MethodBuilder Main = P.addMethod(T, "main", {}, TypeId::invalid(), true);
+  VarId Tv = Main.local("t", T);
+  Main.alloc(Tv, T).virtualCall(VarId::invalid(), Tv, "go", {}, {});
+  P.finalize();
+
+  Solver S(P, SolverConfig{0, 0, 1});
+  const CtxId Empty = S.contexts().empty();
+  std::vector<uint32_t> Expected;
+  for (int I = 0; I != 96; ++I) {
+    const TypeId Ty = I % 3 == 0 ? A : I % 3 == 1 ? Other : ASub;
+    ValueId V = S.internValue(
+        P.addSyntheticObject(Ty, AllocKind::Generated, "<v>"), Empty);
+    S.seedVar(Pv, Empty, V);
+    if (Ty != Other)
+      Expected.push_back(V.rawValue());
+  }
+  observe::MetricsRegistry Registry;
+  S.setMetricsRegistry(&Registry);
+  S.makeReachable(Main.id(), Empty);
+  S.solve();
+
+  ASSERT_TRUE(S.isMethodReachable(Go.id()));
+  ASSERT_EQ(S.varInstances(Y).size(), 1u);
+  EXPECT_EQ(S.pointsTo(S.varInstances(Pv)[0]).size(), 96u);
+  EXPECT_EQ(S.pointsTo(S.varInstances(Y)[0]), Expected);
+  // p (96 values) and y (64 values) are bitmaps of 3 words each.
+  EXPECT_EQ(gaugeValue(Registry, "pointsto.bytes.sets_dense"), 2 * 4 * 4);
+  expectSetStoreInvariants(S);
+}
+
+/// Seeds a new object field for every value of x while iterating x's
+/// bitmap: each seed interns a node and the per-node tables reallocate
+/// under the iteration, which must still see every value once.
+class FieldPerValueSeeder : public Plugin {
+public:
+  FieldPerValueSeeder(VarId X, VarId Y, FieldId G) : X(X), Y(Y), G(G) {}
+  bool onFixpoint(Solver &S) override {
+    if (!Seen.empty())
+      return false;
+    NodesBefore = S.nodeCount();
+    for (uint32_t V : S.pointsTo(S.varInstances(X)[0])) {
+      Seen.push_back(V);
+      S.seedObjectField(ValueId(V), G, ValueId(V));
+      S.seedVar(Y, S.contexts().empty(), ValueId(V));
+    }
+    return true;
+  }
+  std::vector<uint32_t> Seen;
+  uint32_t NodesBefore = 0;
+
+private:
+  VarId X, Y;
+  FieldId G;
+};
+
+TEST(PointsToDenseSet, PluginIteratesWhileInterningNodes) {
+  DenseFixture F;
+  FieldId G = F.P.addField(F.A, "g", F.Object);
+  VarId X = F.Main.local("x", F.A), Y = F.Main.local("y", F.A);
+  VarId R = F.Main.local("r", F.Object);
+  F.Main.load(R, Y, G); // r gains the seeded fields once y gains values
+  F.P.finalize();
+
+  Solver S(F.P, SolverConfig{0, 0, 1});
+  const CtxId Empty = S.contexts().empty();
+  std::vector<uint32_t> All;
+  for (int I = 0; I != 200; ++I) {
+    ValueId V = S.internValue(
+        F.P.addSyntheticObject(F.A, AllocKind::Generated, "<v>"), Empty);
+    S.seedVar(X, Empty, V);
+    All.push_back(V.rawValue());
+  }
+  FieldPerValueSeeder Seeder(X, Y, G);
+  S.addPlugin(&Seeder);
+  S.makeReachable(F.Main.id(), Empty);
+  S.solve();
+
+  EXPECT_EQ(Seeder.Seen, All);
+  EXPECT_GE(S.nodeCount(), Seeder.NodesBefore + 200);
+  ASSERT_EQ(S.varInstances(R).size(), 1u);
+  EXPECT_EQ(S.pointsTo(S.varInstances(R)[0]), All);
+  expectSetStoreInvariants(S);
+}
+
+/// Bitmaps built, grown and replayed in rounds large enough for the pool:
+/// every set, stat and byte gauge matches the 1-thread run.
+TEST(PointsToDenseSet, EqualAcrossThreadCounts) {
+  SymbolTable Symbols;
+  Program P(Symbols);
+  TypeId Object =
+      P.addClass("java.lang.Object", TypeKind::Class, TypeId::invalid());
+  P.addClass("java.lang.String", TypeKind::Class, Object);
+  TypeId Box = P.addClass("Box", TypeKind::Class, Object);
+  TypeId Sub = P.addClass("Sub", TypeKind::Class, Box);
+  FieldId F = P.addField(Box, "f", Object);
+
+  MethodBuilder Main = P.addMethod(Box, "main", {}, TypeId::invalid(), true);
+  VarId X = Main.local("x", Box), Y = Main.local("y", Object);
+  VarId Z = Main.local("z", Object), W = Main.local("w", Sub);
+  for (int I = 0; I != 160; ++I)
+    Main.alloc(X, I % 2 ? Box : Sub);
+  Main.move(Y, X).store(X, F, Y).load(Z, X, F).cast(W, Sub, Z).move(X, W);
+  P.finalize();
+
+  auto solveAt = [&](unsigned Threads, observe::MetricsRegistry &Registry) {
+    auto S = std::make_unique<Solver>(P, SolverConfig{1, 1, Threads});
+    S->setMetricsRegistry(&Registry);
+    S->makeReachable(Main.id(), S->contexts().empty());
+    S->solve();
+    return S;
+  };
+  const char *Gauges[] = {"pointsto.bytes.sets_array",
+                          "pointsto.bytes.sets_dense", "pointsto.bytes.edges",
+                          "pointsto.bytes.nodes",
+                          "pointsto.bytes.round_arenas"};
+  observe::MetricsRegistry BaseRegistry;
+  std::unique_ptr<Solver> Base = solveAt(1, BaseRegistry);
+  EXPECT_EQ(Base->varPointsToSites(Z).size(), 160u);
+  EXPECT_EQ(Base->varPointsToSites(W).size(), 80u);
+  EXPECT_GT(gaugeValue(BaseRegistry, "pointsto.bytes.sets_dense"), 0);
+  expectSetStoreInvariants(*Base);
+
+  for (unsigned Threads : {2u, 8u}) {
+    SCOPED_TRACE("Threads=" + std::to_string(Threads));
+    observe::MetricsRegistry Registry;
+    std::unique_ptr<Solver> S = solveAt(Threads, Registry);
+    EXPECT_GT(gaugeValue(Registry, "pointsto.sched.parallel_rounds"), 0);
+    ASSERT_EQ(S->nodeCount(), Base->nodeCount());
+    for (uint32_t NI = 0; NI != S->nodeCount(); ++NI)
+      EXPECT_EQ(S->pointsTo(NodeId(NI)), Base->pointsTo(NodeId(NI)));
+    EXPECT_EQ(S->stats().WorkItems, Base->stats().WorkItems);
+    EXPECT_EQ(S->stats().EdgesAdded, Base->stats().EdgesAdded);
+    EXPECT_EQ(S->stats().ReactionsRun, Base->stats().ReactionsRun);
+    EXPECT_EQ(S->stats().Rounds, Base->stats().Rounds);
+    for (const char *Gauge : Gauges)
+      EXPECT_EQ(gaugeValue(Registry, Gauge), gaugeValue(BaseRegistry, Gauge))
+          << Gauge;
+  }
+}
+
+/// The owned-bytes gauges reach the metrics JSON, and the round arenas are
+/// freed once `solve()` returns.
+TEST(PointsToBytes, GaugesReachMetricsJsonAndArenasAreReleased) {
+  core::AnalysisSession Session;
+  core::CellResult Cell =
+      Session.open(synth::petstoreApp(), core::AnalysisKind::TwoObjH);
+  ASSERT_TRUE(Cell.ok()) << Cell.error().Message;
+  const std::string Json = core::metricsToJson(Cell->metrics());
+  for (const char *Key : {"\"observed.pointsto.bytes.sets_array\"",
+                          "\"observed.pointsto.bytes.sets_dense\"",
+                          "\"observed.pointsto.bytes.edges\"",
+                          "\"observed.pointsto.bytes.nodes\"",
+                          "\"observed.pointsto.bytes.round_arenas\""})
+    EXPECT_NE(Json.find(Key), std::string::npos) << "missing " << Key;
+  std::map<std::string, double> Observed(Cell->metrics().Observed.begin(),
+                                         Cell->metrics().Observed.end());
+  EXPECT_EQ(Observed.at("pointsto.bytes.round_arenas"), 0);
+  EXPECT_GT(Observed.at("pointsto.bytes.sets_array") +
+                Observed.at("pointsto.bytes.sets_dense"),
+            0);
+  EXPECT_GT(Observed.at("pointsto.bytes.edges"), 0);
+  EXPECT_GT(Observed.at("pointsto.bytes.nodes"), 0);
+}
+
+//===----------------------------------------------------------------------===//
+// Context interning
+//===----------------------------------------------------------------------===//
+
+/// `intern`, `appendAndTruncate` and `truncate` agree on the id of a
+/// sequence, and looking up a known sequence adds no context — through
+/// the stack buffer and through the long-sequence path alike.
+TEST(PointsToContext, EntryPointsShareIdsWithoutGrowing) {
+  ContextTable T;
+  std::vector<AllocSiteId> Sites;
+  for (uint32_t I = 0; I != 12; ++I)
+    Sites.push_back(AllocSiteId(I));
+  auto Seq = [&](size_t From, size_t To) {
+    return std::span<const AllocSiteId>(Sites.data() + From, To - From);
+  };
+  const CtxId S1 = T.intern(Seq(1, 2)), S12 = T.intern(Seq(1, 3));
+  const CtxId S012 = T.intern(Seq(0, 3)), S2 = T.intern(Seq(2, 3));
+  const CtxId Long = T.intern(Seq(0, 10)), LongPlus = T.intern(Seq(0, 11));
+  const CtxId Tail = T.intern(Seq(2, 11));
+  const size_t Size = T.size();
+
+  EXPECT_EQ(T.intern(Seq(1, 3)), S12);
+  EXPECT_EQ(T.appendAndTruncate(S1, Sites[2], 2), S12);
+  EXPECT_EQ(T.appendAndTruncate(S012, Sites[2], 1), S2);
+  EXPECT_EQ(T.appendAndTruncate(S1, Sites[2], 0), T.empty());
+  EXPECT_EQ(T.truncate(S012, 2), S12);
+  EXPECT_EQ(T.truncate(S012, 1), S2);
+  EXPECT_EQ(T.truncate(S012, 3), S012);
+  EXPECT_EQ(T.truncate(S012, 0), T.empty());
+  EXPECT_EQ(T.appendAndTruncate(Long, Sites[10], 11), LongPlus);
+  EXPECT_EQ(T.appendAndTruncate(Long, Sites[10], 9), Tail);
+  EXPECT_EQ(T.truncate(LongPlus, 9), Tail);
+  EXPECT_EQ(T.size(), Size);
+  EXPECT_EQ(T.elements(Tail), std::vector<AllocSiteId>(Sites.begin() + 2,
+                                                       Sites.begin() + 11));
 }
 
 } // namespace
