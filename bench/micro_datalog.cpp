@@ -93,62 +93,6 @@ static void BM_TransitiveClosure(benchmark::State &State) {
 }
 BENCHMARK(BM_TransitiveClosure)->Arg(50)->Arg(100)->Arg(200)->Complexity();
 
-/// Thread-scaling probe for the parallel evaluator. The chain graph above
-/// is inherently serial (one new tuple per round), so this one uses a wide
-/// seeded random graph whose per-round deltas are large enough to chunk
-/// across workers. Run with
-/// `--benchmark_out=BENCH_datalog.json --benchmark_out_format=json` to
-/// capture the scaling trajectory (see EXPERIMENTS.md).
-static void BM_TransitiveClosureThreads(benchmark::State &State) {
-  const int64_t Nodes = State.range(0);
-  const unsigned Threads = static_cast<unsigned>(State.range(1));
-  uint64_t Tuples = 0;
-  double Busy = 0, Wall = 0;
-  for (auto _ : State) {
-    State.PauseTiming();
-    SymbolTable Symbols;
-    Database DB(Symbols);
-    RuleSet Rules;
-    parseRules(DB, Rules,
-               ".decl edge(a: symbol, b: symbol)\n"
-               ".decl path(a: symbol, b: symbol)\n"
-               "path(x, y) :- edge(x, y).\n"
-               "path(x, z) :- path(x, y), edge(y, z).\n",
-               "bench");
-    // Wide random graph, deterministic seed: ~4 edges per node.
-    uint64_t Rng = 0x9e3779b97f4a7c15ull;
-    auto next = [&Rng] {
-      Rng ^= Rng << 13;
-      Rng ^= Rng >> 7;
-      Rng ^= Rng << 17;
-      return Rng;
-    };
-    for (int64_t I = 0; I != Nodes * 4; ++I)
-      DB.insertFact("edge", {"n" + std::to_string(next() % Nodes),
-                             "n" + std::to_string(next() % Nodes)});
-    Evaluator Eval(DB, Rules, Threads);
-    State.ResumeTiming();
-    Eval.run();
-    benchmark::DoNotOptimize(DB.relation(DB.find("path")).size());
-    State.PauseTiming();
-    Tuples = Eval.stats().TuplesDerived;
-    for (const Evaluator::StratumStats &SS : Eval.stats().Strata) {
-      Wall += SS.WallSeconds;
-      Busy += SS.WorkerBusySeconds;
-    }
-    State.ResumeTiming();
-  }
-  State.counters["tuples"] = static_cast<double>(Tuples);
-  State.counters["threads"] = Threads;
-  if (Threads > 1 && Wall > 0)
-    State.counters["utilization"] = Busy / (Wall * Threads);
-}
-BENCHMARK(BM_TransitiveClosureThreads)
-    ->ArgsProduct({{256, 512}, {1, 2, 4, 8}})
-    ->ArgNames({"nodes", "threads"})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 /// Join-plan A/B probe: a three-way join spelled worst-first (the huge
 /// relation drives textually, the tiny filter comes last). The textual
 /// plan enumerates big × mid before ever consulting tiny; the greedy plan
@@ -180,7 +124,7 @@ static void BM_JoinOrderAdversarial(benchmark::State &State) {
                     {"b" + std::to_string(I % 61), "c" + std::to_string(I)});
     for (int64_t I = 0; I != 4; ++I)
       DB.insertFact("tiny", {"c" + std::to_string(I)});
-    Evaluator Eval(DB, Rules, /*Threads=*/1, Mode);
+    Evaluator Eval(DB, Rules, Mode);
     State.ResumeTiming();
     Eval.run();
     Result = DB.relation(DB.find("q")).size();

@@ -5,7 +5,7 @@
 // Measures what rule-level profiling costs — and what it costs when it is
 // *off*. The contract (datalog/Evaluator.h) is that with profiling
 // disabled every instrumentation site reduces to one untaken branch per
-// task and per duplicate head emit, so the disabled configuration must be
+// pass and per duplicate head emit, so the disabled configuration must be
 // indistinguishable from the pre-profiler engine. `main` enforces that
 // with a deterministic bound rather than a flaky wall-clock diff: it
 // measures the cost of one untaken branch directly, multiplies by a
@@ -59,13 +59,12 @@ void loadWideGraph(Database &DB, int64_t Nodes) {
 
 } // namespace
 
-/// Transitive closure with profiling off vs on, sequential and parallel.
-/// Compare `profiling:0` here against `BM_TCTrace/tracing:0` in
-/// micro_trace to confirm the no-profiler path is unchanged.
+/// Transitive closure with profiling off vs on. Compare `profiling:0` here
+/// against `BM_TCTrace/tracing:0` in micro_trace to confirm the
+/// no-profiler path is unchanged.
 static void BM_TCProfile(benchmark::State &State) {
   const int64_t Nodes = State.range(0);
-  const unsigned Threads = static_cast<unsigned>(State.range(1));
-  const bool Profiling = State.range(2) != 0;
+  const bool Profiling = State.range(1) != 0;
   uint64_t Derivations = 0;
   for (auto _ : State) {
     State.PauseTiming();
@@ -74,7 +73,7 @@ static void BM_TCProfile(benchmark::State &State) {
     RuleSet Rules;
     parseRules(DB, Rules, TC_RULES, "bench");
     loadWideGraph(DB, Nodes);
-    Evaluator Eval(DB, Rules, Threads);
+    Evaluator Eval(DB, Rules);
     if (Profiling)
       Eval.enableRuleProfiling();
     State.ResumeTiming();
@@ -88,8 +87,8 @@ static void BM_TCProfile(benchmark::State &State) {
   State.counters["derivations"] = static_cast<double>(Derivations);
 }
 BENCHMARK(BM_TCProfile)
-    ->ArgsProduct({{256, 512}, {1, 4}, {0, 1}})
-    ->ArgNames({"nodes", "threads", "profiling"})
+    ->ArgsProduct({{256, 512}, {0, 1}})
+    ->ArgNames({"nodes", "profiling"})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -152,7 +151,7 @@ using Clock = std::chrono::steady_clock;
 
 /// One TC evaluation; returns wall seconds and, when profiling, the summed
 /// per-rule counters — a generous over-count of the branch sites the
-/// *disabled* path executes (one per task, per considered tuple, per head
+/// *disabled* path executes (one per pass, per considered tuple, per head
 /// emit; Considered + Matches + Derivations + Passes covers all of them).
 std::pair<double, uint64_t> runOnce(bool Profiling) {
   SymbolTable Symbols;
@@ -160,7 +159,7 @@ std::pair<double, uint64_t> runOnce(bool Profiling) {
   RuleSet Rules;
   parseRules(DB, Rules, TC_RULES, "bench");
   loadWideGraph(DB, 512);
-  Evaluator Eval(DB, Rules, 1);
+  Evaluator Eval(DB, Rules);
   if (Profiling)
     Eval.enableRuleProfiling();
   auto Start = Clock::now();

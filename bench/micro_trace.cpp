@@ -46,13 +46,12 @@ void loadWideGraph(Database &DB, int64_t Nodes) {
 
 } // namespace
 
-/// Transitive closure with tracing off vs on, sequential and parallel.
-/// Compare `tracing:0` here against `BM_TransitiveClosureThreads` in
-/// micro_datalog to confirm the no-tracer path is unchanged.
+/// Transitive closure with tracing off vs on. Compare `tracing:0` here
+/// against `BM_TCProvenance/recording:0` in micro_provenance (the same
+/// workload) to confirm the no-tracer path is unchanged.
 static void BM_TCTrace(benchmark::State &State) {
   const int64_t Nodes = State.range(0);
-  const unsigned Threads = static_cast<unsigned>(State.range(1));
-  const bool Tracing = State.range(2) != 0;
+  const bool Tracing = State.range(1) != 0;
   uint64_t Spans = 0;
   for (auto _ : State) {
     State.PauseTiming();
@@ -61,7 +60,7 @@ static void BM_TCTrace(benchmark::State &State) {
     RuleSet Rules;
     parseRules(DB, Rules, TC_RULES, "bench");
     loadWideGraph(DB, Nodes);
-    Evaluator Eval(DB, Rules, Threads);
+    Evaluator Eval(DB, Rules);
     observe::Tracer Tracer;
     observe::MetricsRegistry Registry;
     if (Tracing) {
@@ -78,8 +77,8 @@ static void BM_TCTrace(benchmark::State &State) {
   State.counters["spans"] = static_cast<double>(Spans);
 }
 BENCHMARK(BM_TCTrace)
-    ->ArgsProduct({{256, 512}, {1, 4}, {0, 1}})
-    ->ArgNames({"nodes", "threads", "tracing"})
+    ->ArgsProduct({{256, 512}, {0, 1}})
+    ->ArgNames({"nodes", "tracing"})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

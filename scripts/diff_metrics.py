@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Semantic diff of two benchmark_cli --benchmark_out JSON files.
 
-The solver/evaluator determinism contract (DESIGN.md §11) says every
-analysis answer is bit-identical at any JACKEE_SOLVER_THREADS /
-JACKEE_THREADS setting — only wall-clock, RSS, and scheduling observables
-may differ. This script enforces exactly that split: it compares the two
-files' benchmark entries field by field, ignoring the volatile fields, and
-exits non-zero on any semantic mismatch.
+The solver determinism contract (DESIGN.md §11) says every analysis
+answer is bit-identical at any JACKEE_SOLVER_THREADS setting — only
+wall-clock, RSS, and scheduling observables may differ. This script
+enforces exactly that split: it compares the two files' benchmark entries
+field by field, ignoring the volatile fields, and exits non-zero on any
+semantic mismatch.
 
 Usage: diff_metrics.py [--incremental] BASELINE.json OTHER.json
 
@@ -27,12 +27,9 @@ VOLATILE_SUBSTRINGS = (
     "real_time",
     "tuples_per_sec",
     "peak_rss",
-    "utilization",
     "solver_threads",
-    "datalog_threads",
     "pointsto.sched",
     "pointsto.shard.steals",
-    "worker_idle",
     "snapshot.load",    # session.snapshot.load_ns is wall-clock
     "profile.sink",     # event/byte counts vary with tracing and job
                         # interleaving (profile.census.* stays exact)

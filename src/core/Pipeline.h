@@ -146,11 +146,10 @@ struct Metrics {
   uint64_t ProvenanceCandidatesSeen = 0; ///< candidate derivations observed
   uint32_t ProvenanceGlueEvents = 0;     ///< framework audit-trail entries
 
-  // Datalog engine effort (parallel evaluation observability).
-  unsigned DatalogThreads = 1;       ///< resolved evaluator worker count
+  // Datalog engine effort.
+  unsigned DatalogThreads = 1; ///< unused; perfbench/ledger.cpp:287 sets it
   uint64_t DatalogTuplesDerived = 0; ///< tuples derived by framework rules
   uint32_t DatalogStrata = 0;
-  double DatalogUtilization = 0;     ///< busy / (wall × workers), 0 if seq.
 
   // Session cost attribution (`AnalysisSession`): where the cell's wall
   // time went before solving. `ElapsedSeconds` above remains solve-only.
@@ -164,9 +163,9 @@ struct Metrics {
   bool SnapshotCacheHit = false;
 
   // Observability registry samples (name-sorted, see observe/Metrics.h):
-  // memory accounting (`db.relation_bytes`, `datalog.staging_bytes`,
-  // `process.peak_rss_bytes`), throughput (`datalog.stratum<I>.
-  // tuples_per_sec`), round delta-size histograms, and worker idle time.
+  // memory accounting (`db.relation_bytes`, `process.peak_rss_bytes`),
+  // throughput (`datalog.stratum<I>.tuples_per_sec`) and round delta-size
+  // histograms.
   // `metricsToJson` exports every sample under "observed.<name>".
   std::vector<std::pair<std::string, double>> Observed;
 
@@ -189,9 +188,7 @@ struct Metrics {
 /// rule, implemented in support/Env.h: explicit option > env var > hardware
 /// default.
 struct EngineOptions {
-  /// Worker threads for Datalog rule evaluation. 0 resolves the
-  /// `JACKEE_THREADS` environment variable, falling back to
-  /// `hardware_concurrency`; 1 forces the sequential engine.
+  /// Ignored (Datalog runs sequentially); perfbench/main.cpp:79 sets it.
   unsigned DatalogThreads = 0;
 
   /// Join-plan mode for Datalog rule evaluation (see `datalog::PlanMode`).

@@ -105,17 +105,16 @@ jackee::core::evaluatorStatsReport(const datalog::Evaluator::Stats &S) {
   std::ostringstream Out;
   Out << "datalog evaluation: " << S.StratumCount << " strata, "
       << S.TuplesDerived << " tuples derived, " << S.RuleEvaluations
-      << " rule passes, " << S.Threads
-      << (S.Threads == 1 ? " thread (sequential)\n" : " threads\n");
+      << " rule passes\n";
   if (S.Strata.empty())
     return Out.str();
   // Columns are right-aligned at their legacy minimum widths but *widen*
   // to the longest value, so very large counts can never smear rows out
   // of alignment.
-  constexpr size_t Columns = 7;
+  constexpr size_t Columns = 6;
   const std::array<const char *, Columns> Headers = {
-      "stratum", "rules", "rounds", "passes", "tuples", "wall(s)", "util(%)"};
-  std::array<size_t, Columns> Width = {7, 6, 7, 7, 10, 9, 8};
+      "stratum", "rules", "rounds", "passes", "tuples", "wall(s)"};
+  std::array<size_t, Columns> Width = {7, 6, 7, 7, 10, 9};
   std::vector<std::array<std::string, Columns>> Rows;
   char Buf[64];
   for (size_t I = 0; I != S.Strata.size(); ++I) {
@@ -128,9 +127,6 @@ jackee::core::evaluatorStatsReport(const datalog::Evaluator::Stats &S) {
     Row[4] = std::to_string(SS.TuplesDerived);
     std::snprintf(Buf, sizeof(Buf), "%.4f", SS.WallSeconds);
     Row[5] = Buf;
-    std::snprintf(Buf, sizeof(Buf), "%.1f",
-                  100.0 * SS.utilization(S.Threads));
-    Row[6] = Buf;
     for (size_t C = 0; C != Columns; ++C)
       Width[C] = std::max(Width[C], Row[C].size());
   }
@@ -245,10 +241,8 @@ std::string jackee::core::metricsToJson(const Metrics &M, unsigned Indent) {
   field("solver_threads", std::to_string(M.SolverThreads));
   field("solver_rounds", std::to_string(M.SolverRounds));
   field("solver_work_items", std::to_string(M.SolverWorkItems));
-  field("datalog_threads", std::to_string(M.DatalogThreads));
   field("datalog_tuples_derived", std::to_string(M.DatalogTuplesDerived));
   field("datalog_strata", std::to_string(M.DatalogStrata));
-  field("datalog_utilization", num(M.DatalogUtilization));
   field("provenance_enabled", M.ProvenanceEnabled ? "true" : "false");
   field("provenance_tuples_recorded",
         std::to_string(M.ProvenanceTuplesRecorded));

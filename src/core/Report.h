@@ -43,8 +43,8 @@ std::string varPointsToReport(const pointsto::Solver &S);
 std::string summaryReport(const pointsto::Solver &S);
 
 /// Renders the Datalog evaluator's per-stratum observability record: one
-/// header line (threads, strata, totals) and one fixed-width row per
-/// stratum (rules, rounds, passes, tuples, wall time, worker utilization).
+/// header line (strata and totals) and one fixed-width row per
+/// stratum (rules, rounds, passes, tuples, wall time).
 std::string evaluatorStatsReport(const datalog::Evaluator::Stats &S);
 
 /// Renders a rule set back to rule text, one indexed line per rule with

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -135,16 +136,8 @@ void AnalysisCell::finishMetrics(Metrics &M) {
   M.BeansCreated = FM->stats().BeansCreated;
   M.InjectionsApplied = FM->stats().InjectionsApplied;
   if (const datalog::Evaluator::Stats *ES = FM->evaluatorStats()) {
-    M.DatalogThreads = ES->Threads;
     M.DatalogTuplesDerived = ES->TuplesDerived;
     M.DatalogStrata = ES->StratumCount;
-    double Wall = 0, Busy = 0;
-    for (const datalog::Evaluator::StratumStats &SS : ES->Strata) {
-      Wall += SS.WallSeconds;
-      Busy += SS.WorkerBusySeconds;
-    }
-    M.DatalogUtilization =
-        Wall > 0 && ES->Threads > 1 ? Busy / (Wall * ES->Threads) : 0.0;
   }
   // Fold the cell's registry into the exported metrics. The gauges set
   // here are end-of-cell state; everything else accumulated during
@@ -300,7 +293,15 @@ std::string AnalysisCell::explainText(std::string_view Query,
 std::string AnalysisCell::canonicalDigest() const {
   const Program &P = *Prog;
   const Solver &S = *Solver_;
-  std::vector<std::string> Lines;
+  // Lines are written back to back into one buffer and sorted as views
+  // into it: per line, only an offset and a view are held next to the
+  // buffer and the result, not a heap string.
+  std::string Buf;
+  std::vector<size_t> Starts; // Starts[I] = offset of line I in Buf
+  auto line = [&](auto &&...Parts) {
+    Starts.push_back(Buf.size());
+    (Buf.append(Parts), ...);
+  };
 
   // Framework-created sites (mock/bean) are re-created by every re-solve
   // and may land on different site ids than a from-scratch run; their
@@ -319,7 +320,7 @@ std::string AnalysisCell::canonicalDigest() const {
 
   for (MethodId M : S.reachableMethods())
     if (P.isAppConcreteMethod(M))
-      Lines.push_back("reach " + P.qualifiedName(M));
+      line("reach ", P.qualifiedName(M));
 
   for (uint32_t VI = 0; VI != P.variableCount(); ++VI) {
     VarId V(VI);
@@ -331,21 +332,29 @@ std::string AnalysisCell::canonicalDigest() const {
                          "." + std::string(P.symbols().text(Var.Name)) +
                          " -> ";
     for (AllocSiteId Site : Sites)
-      Lines.push_back(Prefix + siteKey(Site));
+      line(Prefix, siteKey(Site));
   }
 
   for (uint64_t Edge : S.callGraphEdges()) {
     InvokeId Inv(static_cast<uint32_t>(Edge >> 32));
     MethodId Callee(static_cast<uint32_t>(Edge));
     const InvokeSite &Site = P.invokeSite(Inv);
-    Lines.push_back("cg " + P.qualifiedName(Site.Caller) + "#" +
-                    std::to_string(Site.StatementIndex) + " -> " +
-                    P.qualifiedName(Callee));
+    line("cg ", P.qualifiedName(Site.Caller), "#",
+         std::to_string(Site.StatementIndex), " -> ",
+         P.qualifiedName(Callee));
   }
 
+  std::vector<std::string_view> Lines;
+  Lines.reserve(Starts.size());
+  for (size_t I = 0; I != Starts.size(); ++I) {
+    size_t End = I + 1 != Starts.size() ? Starts[I + 1] : Buf.size();
+    Lines.emplace_back(Buf.data() + Starts[I], End - Starts[I]);
+  }
+  Starts = {};
   std::sort(Lines.begin(), Lines.end());
   std::string Out;
-  for (const std::string &Line : Lines) {
+  Out.reserve(Buf.size() + Lines.size());
+  for (std::string_view Line : Lines) {
     Out += Line;
     Out += '\n';
   }
@@ -636,8 +645,6 @@ unsigned AnalysisSession::defaultJobCount() {
 AnalysisSession::AnalysisSession(SessionOptions Opts) : Options(Opts) {
   Jobs = Options.Jobs ? std::clamp(Options.Jobs, 1u, 256u)
                       : defaultJobCount();
-  CellThreads = Options.DatalogThreads ? Options.DatalogThreads
-                                       : (Jobs > 1 ? 1u : 0u);
   SolverCellThreads = Options.SolverThreads ? Options.SolverThreads
                                             : (Jobs > 1 ? 1u : 0u);
   RecordProvenance = Options.Provenance || env::flagVar("JACKEE_PROVENANCE");
@@ -754,7 +761,6 @@ CellResult AnalysisSession::openCell(const Application &App,
   Cell->AppName = App.Name;
   Cell->MainClass = App.MainClass;
   Cell->Kind = Kind;
-  Cell->DatalogThreads = CellThreads;
   Cell->SolverThreadsReq = SolverCellThreads;
   Cell->Profiled = ProfileCells;
   Cell->Trace = Trace.get();
@@ -825,7 +831,7 @@ CellResult AnalysisSession::openCell(const Application &App,
 
   Cell->DB = std::make_unique<datalog::Database>(P.symbols());
   Cell->FM = std::make_unique<frameworks::FrameworkManager>(
-      P, *Cell->DB, Options.MockOptions, CellThreads, Options.Plan);
+      P, *Cell->DB, Options.MockOptions, Options.Plan);
   frameworks::FrameworkManager &FM = *Cell->FM;
   FM.setTracer(Trace.get());
   FM.setMetricsRegistry(&Registry);

@@ -78,10 +78,6 @@ public:
   std::span<const Symbol> flatData() const { return Data; }
 
   /// \returns true if \p Tuple is present.
-  ///
-  /// Thread-safe against concurrent `contains`/`lookupPrebuilt`/`tuple`
-  /// readers (the probe scratch state is thread-local); must not run
-  /// concurrently with `insert`/`lookup`/`ensureIndex`.
   bool contains(std::span<const Symbol> Tuple) const;
 
   /// Sentinel returned by `find` for absent tuples.
@@ -89,8 +85,7 @@ public:
 
   /// \returns the dense index of \p Tuple, or `NoTuple` if absent. Since
   /// storage is append-only, the index is stable for the relation's
-  /// lifetime — it is what provenance records use as a tuple id. Same
-  /// thread-safety contract as `contains`.
+  /// lifetime — it is what provenance records use as a tuple id.
   uint32_t find(std::span<const Symbol> Tuple) const;
 
   /// Tombstones the tuple at \p Index: it leaves the dedup set (so
@@ -126,19 +121,9 @@ public:
   const std::vector<uint32_t> &lookup(std::span<const uint32_t> Columns,
                                       std::span<const Symbol> Key);
 
-  /// Builds the index over \p Columns now if it does not exist yet. The
-  /// parallel evaluator calls this (single-threaded) for every column set a
-  /// round's join plans can touch, so the worker phase can use
-  /// `lookupPrebuilt` without ever mutating the relation.
+  /// Builds the index over \p Columns now if it does not exist yet
+  /// (`lookup` does this on first use).
   void ensureIndex(std::span<const uint32_t> Columns);
-
-  /// Read-only postings lookup against an index built earlier via
-  /// `ensureIndex`/`lookup`. \returns nullptr if no index over \p Columns
-  /// exists (callers fall back to a range scan). Safe to call from multiple
-  /// threads as long as no thread mutates the relation.
-  const std::vector<uint32_t> *
-  lookupPrebuilt(std::span<const uint32_t> Columns,
-                 std::span<const Symbol> Key) const;
 
   /// Exact distinct-key count of the index over \p Columns (its postings
   /// group count), or 0 when no such index has been built. The join
@@ -179,7 +164,8 @@ private:
   // Dedup set over tuple indexes; the sentinel `ProbeIndex` refers to the
   // candidate tuple in `Probe` so that membership of a not-yet-stored tuple
   // can be tested without copying it into the store. The probe slot is
-  // thread-local so concurrent readers never race on it.
+  // static, so it is thread-local: matrix cells on different workers probe
+  // their own relations concurrently.
   static constexpr uint32_t ProbeIndex = ~uint32_t(0);
   struct TupleHash {
     const Relation *R;

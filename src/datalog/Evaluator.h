@@ -13,14 +13,11 @@
 /// consequences — the JackEE bean-wiring loop relies on this (rules consume
 /// analysis results and feed new ones back, Section 3.5 of the paper).
 ///
-/// Evaluation is multi-threaded (the paper's analyses run on Soufflé, whose
-/// value proposition is compiled *parallel* Datalog): each semi-naive
-/// round's rule×delta passes are chunked over the delta range and executed
-/// on a `WorkerPool`. Workers only read relations — derived tuples go to
-/// per-worker staging buffers that are sort-merged into the relations at the
-/// round barrier, so relation contents and iteration behavior are identical
-/// for every thread count (see DESIGN.md §3.2). `Threads == 1` bypasses the
-/// pool entirely and is the exact sequential engine.
+/// Evaluation is sequential: each round's rule×delta passes run one after
+/// another on the caller's thread, inserting derived tuples directly and
+/// building indexes lazily on first lookup. The paper's analyses run on
+/// Soufflé, a parallel engine, but here Datalog is a few percent of a cell's
+/// wall time and a parallel evaluator measured no gain (DESIGN.md §3.2.1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,17 +27,12 @@
 #include "datalog/Rule.h"
 #include "observe/Metrics.h"
 #include "observe/Trace.h"
-#include "support/Arena.h"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace jackee {
-
-class WorkerPool;
-
 namespace datalog {
 
 /// Observer of tuple derivations, attached via `Evaluator::setObserver`
@@ -52,17 +44,14 @@ namespace datalog {
 /// for a tuple once the round it appeared in is over, so a tuple's
 /// provenance is fixed at its first round. The set of candidates of a
 /// round is snapshot-bounded (joins only range over tuples present at the
-/// round barrier) and therefore identical for every thread count — as
-/// tuple *contents*; the dense indexes in `BodyRefs` are not
-/// thread-invariant, because a round's new tuples are appended in
-/// derivation order sequentially but content-sorted by the parallel
-/// merge. An observer that keeps the least candidate per tuple ordered by
-/// `RuleIdx` and then by the referenced tuples' contents records
-/// derivations that are bit-identical under any `JACKEE_THREADS`
-/// (`provenance::ProvenanceRecorder` does exactly that). Calls are
-/// serialized: they happen on the caller's
-/// thread — directly in the sequential engine, at the round's merge
-/// barrier in parallel mode — so implementations need no locking.
+/// round barrier) and therefore identical under both plan modes — as tuple
+/// *contents*; the dense indexes in `BodyRefs` are not plan-invariant,
+/// because the join order decides the order in which a round's new tuples
+/// are appended. An observer that keeps the least candidate per tuple
+/// ordered by `RuleIdx` and then by the referenced tuples' contents records
+/// derivations that are bit-identical under either `JACKEE_PLAN`
+/// (`provenance::ProvenanceRecorder` does exactly that). Calls happen on
+/// the thread that called `run()`, so implementations need no locking.
 class DerivationObserver {
 public:
   virtual ~DerivationObserver() = default;
@@ -86,54 +75,43 @@ public:
   ///
   /// Every field accumulates across `run()` calls — the bean-wiring loop
   /// re-runs the evaluator once per solver round, and each re-run adds its
-  /// rounds, passes, tuples, and wall/busy seconds on top of the previous
+  /// rounds, passes, tuples, and wall seconds on top of the previous
   /// totals (nothing resets, `Rounds` included). All counters are
-  /// therefore monotone non-decreasing over an evaluator's lifetime, and
-  /// `utilization()` is a lifetime average, not a per-run figure.
+  /// therefore monotone non-decreasing over an evaluator's lifetime.
   struct StratumStats {
     uint32_t Rules = 0;          ///< rules whose head is in this stratum
     uint32_t Rounds = 0;         ///< semi-naive rounds (incl. seed rounds)
     uint64_t RuleEvaluations = 0; ///< rule×delta evaluation passes
     uint64_t TuplesDerived = 0;  ///< new tuples inserted by rule heads
     double WallSeconds = 0;      ///< wall time spent in this stratum
-    double WorkerBusySeconds = 0; ///< summed worker busy time (parallel mode)
-
-    /// Fraction of `Workers × wall` the workers were busy across all
-    /// `run()` calls so far; 0 when the stratum ran sequentially.
-    double utilization(unsigned Workers) const {
-      return WallSeconds <= 0 || Workers == 0
-                 ? 0.0
-                 : WorkerBusySeconds / (WallSeconds * Workers);
-    }
   };
 
   struct Stats {
     uint64_t TuplesDerived = 0; ///< new tuples inserted by rule heads
     uint64_t RuleEvaluations = 0; ///< rule×delta evaluation passes
     uint32_t StratumCount = 0;
-    unsigned Threads = 1;          ///< resolved worker count
+    /// Always 1. perfbench/ledger.cpp:287 still reads it.
+    static constexpr unsigned Threads = 1;
     std::vector<StratumStats> Strata; ///< per stratum, in execution order
   };
 
   /// Per-rule cost attribution (DESIGN.md §14), accumulated across `run()`
   /// calls while rule profiling is enabled. The counter fields are
-  /// **deterministic** — identical at any thread count and under both plan
-  /// modes, because they are derived from the pass set and the round-
-  /// snapshot-bounded match set, never from scheduling:
-  ///  - `Passes` / `RoundsFired` count emitted passes (`appendPassTasks`
-  ///    looks only at the body and the snapshot);
+  /// **deterministic** — identical under both plan modes, because they are
+  /// derived from the pass set and the round-snapshot-bounded match set,
+  /// never from the join order:
+  ///  - `Passes` / `RoundsFired` count emitted passes (`appendPass` looks
+  ///    only at the body and the snapshot);
   ///  - `Matches` counts full join matches (binding satisfies every atom
   ///    and guard over the round snapshot — enumeration-order-free);
   ///  - `Derivations` counts matches whose head tuple was absent at the
   ///    round barrier (the provenance candidate criterion, proven
-  ///    thread-invariant in DESIGN.md §8), i.e. derivations of this
+  ///    plan-invariant in DESIGN.md §8), i.e. derivations of this
   ///    round's fresh tuples with multiplicity — the attribution-grade
   ///    refinement of `TuplesDerived`, which credits no rule.
   /// `TuplesConsidered` (drive-range tuples scanned) and `EstimatedFanout`
-  /// are **schedule-dependent** — they vary with the plan mode (the
-  /// planner picks each pass's drive atom) and with the worker count (the
-  /// sequential and staged engines split seed/delta passes differently);
-  /// `WallSeconds` is volatile.
+  /// vary with the plan mode only (the planner picks each pass's drive
+  /// atom); `WallSeconds` is volatile.
   struct RuleProfile {
     uint64_t Passes = 0;
     uint64_t RoundsFired = 0;
@@ -146,19 +124,13 @@ public:
 
   /// Prepares strata for \p Rules over \p DB's schema.
   ///
-  /// \p Threads selects the worker count: 0 resolves the `JACKEE_THREADS`
-  /// environment variable, falling back to `hardware_concurrency`; 1 runs
-  /// the exact sequential engine (no pool, direct inserts); N > 1 spawns a
-  /// pool of N workers.
-  ///
   /// \p Plan selects how rule bodies are join-ordered (see `PlanMode`);
   /// `Auto` resolves the `JACKEE_PLAN` environment variable, defaulting to
   /// the greedy cost-guided planner. Relation contents, provenance, and the
   /// deterministic trace structure are identical in every mode — the plan
   /// only changes how fast the fixpoint is reached.
-  Evaluator(Database &DB, const RuleSet &Rules, unsigned Threads = 0,
+  Evaluator(Database &DB, const RuleSet &Rules,
             PlanMode Plan = PlanMode::Auto);
-  ~Evaluator();
 
   /// Checks stratifiability. \returns empty string if OK, else a diagnostic
   /// naming the offending predicate. `run` must not be called on an
@@ -181,23 +153,20 @@ public:
 
   /// Attaches \p T as the span tracer (nullptr detaches). Strata and
   /// semi-naive rounds emit structural `datalog`-category spans whose args
-  /// (round index, tuple/pass counts) are thread-invariant; parallel rounds
-  /// additionally emit `worker`-category detail spans (task batches,
-  /// per-relation merge segments) that are excluded from the deterministic
-  /// structure — see observe/Trace.h. With no tracer the hot paths gain a
-  /// single pointer test.
+  /// (round index, tuple/pass counts) are plan-invariant — see
+  /// observe/Trace.h. With no tracer the hot paths gain a single pointer
+  /// test.
   void setTracer(observe::Tracer *T) { Trace = T; }
   observe::Tracer *tracer() const { return Trace; }
 
   /// Attaches \p R as the metrics registry (nullptr detaches). The engine
-  /// records round delta sizes (`datalog.round_delta_tuples`), summed
-  /// worker idle time (`datalog.worker_idle_seconds`), retained
-  /// staging-arena bytes (`datalog.staging_bytes`), and per-round join
+  /// records round delta sizes (`datalog.round_delta_tuples`), per-stratum
+  /// throughput (`datalog.stratum<I>.tuples_per_sec`), and per-round join
   /// planner histograms: `datalog.plan.reorder_distance` and
   /// `datalog.plan.guard_hoist_depth` (how far the planner moved atoms and
   /// guards off textual order), `datalog.plan.estimated_fanout` (the cost
   /// model's prediction), and `datalog.plan.actual_matches` (full join
-  /// matches — plan- and thread-invariant, the estimate's ground truth).
+  /// matches — plan-invariant, the estimate's ground truth).
   void setMetricsRegistry(observe::MetricsRegistry *R) { Registry = R; }
   observe::MetricsRegistry *metricsRegistry() const { return Registry; }
 
@@ -205,29 +174,20 @@ public:
   /// profiler is per-cell and cells are created with it on or not at all).
   /// Call before the first `run()`: passes run while profiling was off are
   /// not attributed. When off, the only hot-path cost is one branch per
-  /// task and per duplicate head emit (see `bench/micro_profile.cpp` for
+  /// pass and per duplicate head emit (see `bench/micro_profile.cpp` for
   /// the measured non-cost).
   void enableRuleProfiling();
   bool ruleProfilingEnabled() const { return Profiling; }
 
   /// Per-rule attribution, indexed like `Rules.rules()`. Empty unless
-  /// `enableRuleProfiling` was called. Worker-local tallies are folded at
-  /// the end of each `run()`, so read between runs (e.g. at fixpoint), not
-  /// mid-round.
+  /// `enableRuleProfiling` was called; read between runs (e.g. at
+  /// fixpoint).
   const std::vector<RuleProfile> &ruleProfiles() const {
     return RuleProfiles;
   }
 
-  /// The resolved worker count (after env var / hardware defaulting).
-  unsigned threadCount() const { return Threads; }
-
   /// The resolved join-plan mode (never `Auto`).
   PlanMode planMode() const { return Planning; }
-
-  /// The thread count a `Threads == 0` evaluator resolves to:
-  /// `JACKEE_THREADS` if set to a positive integer, else
-  /// `std::thread::hardware_concurrency()`, clamped to [1, 256].
-  static unsigned defaultThreadCount();
 
 private:
   struct Stratum {
@@ -236,31 +196,20 @@ private:
     std::vector<bool> IsMember;         ///< indexed by relation id
   };
 
-  /// One unit of parallel work: a (rule, delta-atom) pass restricted to a
-  /// chunk `[DriveFrom, DriveTo)` of the drive atom's tuple range.
-  struct Task {
+  /// One (rule, delta-atom) pass of a round. The drive atom (the plan's
+  /// first positive atom) ranges over `[DriveFrom, DriveTo)`.
+  struct Pass {
     uint32_t RuleIdx;     ///< into Rules.rules()
     int DeltaAtom;        ///< body index, or -1 for a full (naive) pass
     uint32_t PlanIdx;     ///< into the round's plan cache
     uint32_t DriveFrom;   ///< drive-atom tuple range restriction
     uint32_t DriveTo;
     bool HasDrive;        ///< false for fact rules (empty positive body)
-    bool FirstChunk;      ///< counts toward RuleEvaluations
   };
 
-  /// Per-worker join scratch, reused across `evaluateRule` calls so the
-  /// innermost join loops never allocate once the buffers reach
-  /// steady-state size (they are only ever grown, never shrunk).
-  /// Per-worker, per-rule profiling tally (integer sums are
-  /// order-independent, so folding worker slots in any order is
-  /// deterministic; WallSeconds is volatile anyway).
-  struct RuleProfCell {
-    uint64_t Considered = 0;
-    uint64_t Derivations = 0;
-    uint64_t Matches = 0;
-    double WallSeconds = 0;
-  };
-
+  /// Join scratch, reused across `evaluateRule` calls so the innermost
+  /// join loops never allocate once the buffers reach steady-state size
+  /// (they are only ever grown, never shrunk).
   struct JoinScratch {
     std::vector<Symbol> Bindings;   ///< variable values, by VarIndex
     std::vector<char> BoundFlags;   ///< 1 if the variable is bound
@@ -270,52 +219,37 @@ private:
     std::vector<uint32_t> MatchIdx; ///< observer mode: match per body atom
     std::vector<uint32_t> Refs;     ///< observer mode: witness refs
     uint64_t Matches = 0; ///< full join matches (guards passed) this round
-    std::vector<RuleProfCell> Prof; ///< profiling mode: per-rule tallies
   };
 
   void stratify();
   void runStratum(const Stratum &S, StratumStats &SS);
 
-  /// Appends tasks for one (rule, delta) pass to \p Tasks, planning it
-  /// against \p Sizes (the round's snapshot, by relation id) and chunking
-  /// the drive range across workers in parallel mode. A pass that cannot
+  /// Appends one (rule, delta) pass to \p Passes, planning it against
+  /// \p Sizes (the round's snapshot, by relation id). A pass that cannot
   /// match — empty delta range, or any positive atom with an empty snapshot
   /// — is skipped entirely, before planning, so the emitted pass set (and
   /// with it `RuleEvaluations` and the trace round args) is identical for
-  /// every plan mode and thread count. For a seed pass (\p DeltaAtom < 0)
-  /// the drive range is `[0, Sizes[drive atom's relation])` with the drive
-  /// atom chosen by the plan; \p DeltaFrom/\p DeltaTo are the delta range
-  /// otherwise.
-  void appendPassTasks(std::vector<Task> &Tasks,
-                       std::vector<JoinPlan> &Plans, uint32_t RuleIdx,
-                       int DeltaAtom, uint32_t DeltaFrom, uint32_t DeltaTo,
-                       const std::vector<uint32_t> &Sizes);
+  /// both plan modes. For a seed pass (\p DeltaAtom < 0) the drive range is
+  /// `[0, Sizes[drive atom's relation])` with the drive atom chosen by the
+  /// plan; \p DeltaFrom/\p DeltaTo are the delta range otherwise.
+  void appendPass(std::vector<Pass> &Passes, std::vector<JoinPlan> &Plans,
+                  uint32_t RuleIdx, int DeltaAtom, uint32_t DeltaFrom,
+                  uint32_t DeltaTo, const std::vector<uint32_t> &Sizes);
 
-  /// Executes one round's task batch: sequentially with direct inserts when
-  /// `Threads == 1`, else on the pool with staged emission and a
-  /// deterministic sort-merge at the barrier.
-  void executeRound(const Stratum &S, const std::vector<Task> &Tasks,
+  /// Runs one round's passes in order, inserting directly.
+  void executeRound(const std::vector<Pass> &Passes,
                     const std::vector<JoinPlan> &Plans,
                     const std::vector<uint32_t> &Limit, StratumStats &SS);
 
-  /// Merges all workers' staged tuples into the relations in sorted order
-  /// (deterministic regardless of scheduling). \returns new-tuple count.
-  uint64_t mergeStaging(const Stratum &S);
-
-  /// Evaluates one rule over \p Plan. \p DeltaAtom is the body index of the
-  /// delta-restricted atom (or -1 for a full/naive pass); the drive atom
-  /// (first plan position) ranges over `[DriveFrom, DriveTo)` — the delta
-  /// chunk for a delta pass, the snapshot chunk for a seed pass. \p Limit
-  /// caps the tuple range of every other positive atom, indexed by relation
-  /// id. With \p Staging null, derived tuples are inserted directly
-  /// (sequential mode); otherwise they are appended to \p Staging and no
-  /// relation is mutated (parallel mode — lookups use prebuilt indexes).
-  /// \p RuleIdx is R's index in the rule set, used only for provenance.
-  /// \p S is the calling worker's scratch slot.
+  /// Evaluates one pass of rule \p RuleIdx over \p Plan. \p DeltaAtom is
+  /// the body index of the delta-restricted atom (or -1 for a full/naive
+  /// pass); the drive atom (first plan position) ranges over
+  /// `[DriveFrom, DriveTo)`. \p Limit caps the tuple range of every other
+  /// positive atom, indexed by relation id. Derived tuples are inserted
+  /// directly.
   void evaluateRule(uint32_t RuleIdx, const JoinPlan &Plan, int DeltaAtom,
                     uint32_t DriveFrom, uint32_t DriveTo, bool HasDrive,
-                    const std::vector<uint32_t> &Limit, StagingArena *Staging,
-                    JoinScratch &S);
+                    const std::vector<uint32_t> &Limit);
 
   Database &DB;
   const RuleSet &Rules;
@@ -323,23 +257,13 @@ private:
   std::string StratificationError;
   Stats EvalStats;
 
-  unsigned Threads;
-  PlanMode Planning;                     ///< resolved, never Auto
-  std::unique_ptr<WorkerPool> Pool;      ///< created when Threads > 1
-  PerWorker<StagingArena> Staging;       ///< one arena per worker
-  PerWorker<JoinScratch> Scratch;        ///< join scratch (slot 0 when
-                                         ///< sequential)
+  PlanMode Planning; ///< resolved, never Auto
+  JoinScratch Scratch;
 
   DerivationObserver *Observer = nullptr;
   observe::Tracer *Trace = nullptr;
   observe::MetricsRegistry *Registry = nullptr;
-  /// Positive-body-atom count per rule (a staged derivation's witness
-  /// count), built lazily on first observed run.
-  std::vector<uint32_t> PositiveArity;
-
-  // Rule profiling (enableRuleProfiling). Passes/rounds/fanout accumulate
-  // directly (single-threaded call sites); considered/derivations/matches/
-  // wall flow through the per-worker Prof cells and fold at run() end.
+  // Rule profiling (enableRuleProfiling).
   bool Profiling = false;
   std::vector<RuleProfile> RuleProfiles; ///< indexed like Rules.rules()
   std::vector<uint64_t> RuleLastRound;   ///< round stamp per rule

@@ -24,12 +24,12 @@
 ///     write through, so long corpus runs are observable in flight.
 ///
 /// **Determinism contract.** Every field is classified as either
-/// *deterministic* — bit-identical at any `JACKEE_THREADS` /
-/// `JACKEE_SOLVER_THREADS` setting and under both join-plan modes — or
-/// *volatile* (wall time, RSS, capacity-derived bytes, plan-dependent
-/// planner numbers). `renderProfileText` emits only deterministic fields,
-/// so the text report byte-diffs across the whole thread × plan grid;
-/// `profileToJson` emits everything, with volatile keys named so
+/// *deterministic* — bit-identical at any `JACKEE_SOLVER_THREADS` setting
+/// and under both join-plan modes — or *volatile* (wall time, RSS,
+/// capacity-derived bytes, plan-dependent planner numbers).
+/// `renderProfileText` emits only deterministic fields, so the text report
+/// byte-diffs across the whole solver-thread × plan grid; `profileToJson`
+/// emits everything, with volatile keys named so
 /// `scripts/profile_report.py` can threshold instead of exact-compare
 /// them (`*_seconds`, `*_rss_*`, `*_approx`, `tuples_considered`,
 /// `estimated_fanout`).
@@ -60,13 +60,12 @@ namespace observe {
 struct ProfileRule {
   std::string Name;   ///< head relation name + per-head ordinal ("VPT#2")
   std::string Origin; ///< rule-text provenance ("spring.dl", "vocabulary.dl")
-  // Deterministic (thread- and plan-invariant; see Evaluator.h).
+  // Deterministic (plan-invariant; see Evaluator.h).
   uint64_t Passes = 0;      ///< rule x delta evaluation passes emitted
   uint64_t RoundsFired = 0; ///< rounds with at least one pass for the rule
   uint64_t Derivations = 0; ///< matches deriving a barrier-fresh head tuple
   uint64_t Matches = 0;     ///< full join matches (planner "actual")
-  // Schedule-dependent (vary with plan mode and worker count — the
-  // sequential and staged engines scan different drive ranges).
+  // Plan-dependent (the planner picks each pass's drive atom).
   uint64_t TuplesConsidered = 0; ///< drive-range tuples scanned
   double EstimatedFanout = 0;    ///< planner estimate, summed over passes
   // Volatile.
@@ -139,8 +138,8 @@ struct Profile {
 
 /// Renders the deterministic report: top-\p TopK hot rules (by derivations)
 /// and hot relations (by payload bytes) plus the full census. Emits only
-/// deterministic fields, so the output is bit-identical across the thread ×
-/// plan grid (the profile-smoke CI byte-diff).
+/// deterministic fields, so the output is bit-identical across the
+/// solver-thread × plan grid (the profile-smoke CI byte-diff).
 std::string renderProfileText(const Profile &P, size_t TopK = 10);
 
 /// Renders the complete profile — volatile fields included — as a JSON

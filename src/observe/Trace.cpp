@@ -78,14 +78,14 @@ void Tracer::endSpan(uint32_t Id) {
     SpanRecord &S = Spans[Id];
     S.DurationUs = nowUs() - S.StartUs;
     S.Open = false;
-    if (Events && S.Category != WorkerCategory) {
+    if (Events) {
       Name = S.Name;
       Category = S.Category;
       DurationUs = S.DurationUs;
     }
   }
   // Mirror the closed span into the JSONL log outside the tracer lock (the
-  // sink has its own; worker spans stay out, matching renderStructure).
+  // sink has its own).
   if (Events && !Name.empty())
     Events->event("span")
         .str("name", Name)
@@ -138,9 +138,8 @@ SpanTree buildTree(const Tracer &T) {
   return Tree;
 }
 
-/// Renders one structural node and its non-worker descendants; sibling
-/// subtrees are sorted by rendered text so any cross-thread interleaving
-/// serializes the same way.
+/// Renders one node and its descendants; sibling subtrees are sorted by
+/// rendered text so any cross-thread interleaving serializes the same way.
 std::string renderStructureNode(const SpanTree &Tree, uint32_t Id,
                                 unsigned Depth) {
   const Tracer::SpanRecord &S = Tree.Spans[Id];
@@ -158,8 +157,7 @@ std::string renderStructureNode(const SpanTree &Tree, uint32_t Id,
   Out += '\n';
   std::vector<std::string> Rendered;
   for (uint32_t Child : Tree.Children[Id])
-    if (Tree.Spans[Child].Category != Tracer::WorkerCategory)
-      Rendered.push_back(renderStructureNode(Tree, Child, Depth + 1));
+    Rendered.push_back(renderStructureNode(Tree, Child, Depth + 1));
   std::sort(Rendered.begin(), Rendered.end());
   for (const std::string &R : Rendered)
     Out += R;
@@ -172,8 +170,7 @@ std::string jackee::observe::renderStructure(const Tracer &T) {
   SpanTree Tree = buildTree(T);
   std::vector<std::string> Rendered;
   for (uint32_t Root : Tree.Roots)
-    if (Tree.Spans[Root].Category != Tracer::WorkerCategory)
-      Rendered.push_back(renderStructureNode(Tree, Root, 0));
+    Rendered.push_back(renderStructureNode(Tree, Root, 0));
   std::sort(Rendered.begin(), Rendered.end());
   std::string Out;
   for (const std::string &R : Rendered)

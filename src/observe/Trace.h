@@ -14,23 +14,15 @@
 /// dump for determinism diffs (`renderStructure`), and as an aggregated
 /// text flame summary for logs (`renderFlame`).
 ///
-/// **Determinism contract.** Spans fall into two classes by category:
-///
-///  - *Structural* categories (`session`, `pipeline`, `frameworks`,
-///    `solver`, `datalog`) describe what the analysis computed — phases,
-///    strata, semi-naive rounds, bean-wiring rounds, fixpoint iterations.
-///    Their names, nesting, and args carry only deterministic quantities
-///    (round indexes, tuple counts, rule counts), so the timestamp-stripped
-///    span tree is bit-identical at any `JACKEE_THREADS` / `JACKEE_JOBS`
-///    setting (DESIGN.md §9). `renderStructure` renders exactly this tree,
-///    sorting sibling subtrees so concurrent cells serialize canonically.
-///
-///  - The *worker* category (`Tracer::WorkerCategory`) is performance
-///    detail that only exists in parallel configurations (per-worker merge
-///    segments, task-batch execution). Worker spans appear in the Chrome
-///    export and the flame summary but are excluded from `renderStructure`,
-///    and instrumentation never parents a structural span under a worker
-///    span.
+/// **Determinism contract.** The span categories (`session`, `pipeline`,
+/// `frameworks`, `solver`, `datalog`) describe what the analysis computed —
+/// phases, strata, semi-naive rounds, bean-wiring rounds, fixpoint
+/// iterations. Their names, nesting, and args carry only deterministic
+/// quantities (round indexes, tuple counts, rule counts), so the
+/// timestamp-stripped span tree is bit-identical at any
+/// `JACKEE_SOLVER_THREADS` / `JACKEE_JOBS` / `JACKEE_PLAN` setting
+/// (DESIGN.md §9). `renderStructure` renders exactly this tree, sorting
+/// sibling subtrees so concurrent cells serialize canonically.
 ///
 /// A null `Tracer*` disables everything: `Span` guards compile to a pointer
 /// test (see `bench/micro_trace.cpp` for the measured non-cost).
@@ -63,10 +55,6 @@ class Tracer {
 public:
   /// Sentinel span id: "no span" / "no parent".
   static constexpr uint32_t NoSpan = ~uint32_t(0);
-
-  /// The category marking thread-variant performance-detail spans, excluded
-  /// from the deterministic structure (see file comment).
-  static constexpr const char *WorkerCategory = "worker";
 
   /// One key/value argument. `Quoted` distinguishes string values (quoted
   /// in JSON) from numeric values (emitted bare).
@@ -115,9 +103,9 @@ public:
 
   size_t spanCount() const;
 
-  /// Mirrors every closed *structural* (non-worker) span into \p Sink as a
-  /// `span` event — part of the shared JSONL log of DESIGN.md §14. The
-  /// sink must outlive the tracer; null detaches.
+  /// Mirrors every closed span into \p Sink as a `span` event — part of
+  /// the shared JSONL log of DESIGN.md §14. The sink must outlive the
+  /// tracer; null detaches.
   void setEventSink(EventSink *Sink) { Events = Sink; }
 
 private:
@@ -170,7 +158,7 @@ public:
   }
 
   /// Attaches a key/value argument. Integers and floats format
-  /// deterministically; keep args on structural spans deterministic (see
+  /// deterministically; keep args deterministic (see
   /// the determinism contract above).
   template <typename V> void arg(std::string_view Key, V Value) {
     if (!T)
@@ -206,11 +194,11 @@ private:
   uint32_t Id = Tracer::NoSpan;
 };
 
-/// Renders the deterministic span structure: the tree of non-worker spans
-/// with names, categories, and args — no timestamps, thread ids, or
-/// durations. Sibling subtrees are sorted by their rendered text, so the
-/// output is bit-identical for any thread/job count and any interleaving
-/// (the acceptance check of DESIGN.md §9.2).
+/// Renders the deterministic span structure: the span tree with names,
+/// categories, and args — no timestamps, thread ids, or durations. Sibling
+/// subtrees are sorted by their rendered text, so the output is
+/// bit-identical for any thread/job count and any interleaving (the
+/// acceptance check of DESIGN.md §9.2).
 std::string renderStructure(const Tracer &T);
 
 /// Renders an aggregated wall-clock summary: the span tree with same-name

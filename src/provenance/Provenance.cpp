@@ -22,10 +22,10 @@ bool ProvenanceRecorder::candidateLess(uint32_t RuleIdx,
     return RuleIdx < Old.RuleIdx;
   // Same rule, so the witnesses pair up positionally and each position's
   // relation is the body atom's. Compare by tuple *contents*: dense
-  // indexes are not comparable across thread counts (the parallel merge
-  // appends a round's tuples content-sorted, the sequential engine in
-  // derivation order), but relations deduplicate, so distinct indexes
-  // always mean distinct contents and the content order is total.
+  // indexes are not comparable across plan modes (each join order appends
+  // a round's tuples in its own derivation order), but relations
+  // deduplicate, so distinct indexes always mean distinct contents and the
+  // content order is total.
   std::span<const uint32_t> OldRefs = refs(Old);
   size_t Pos = 0;
   for (const datalog::Atom &A : Rules->rules()[RuleIdx].Body) {
@@ -60,8 +60,8 @@ void ProvenanceRecorder::onDerivation(uint32_t Rel, uint32_t TupleIndex,
     // Keep-min: replace only if the new candidate orders before the stored
     // one (rule index, then witness contents). The engine guarantees all
     // candidates for a tuple arrive within the round it first appeared, so
-    // whichever survives is the round-canonical derivation under any
-    // thread count.
+    // whichever survives is the round-canonical derivation under either
+    // plan mode.
     Record &Old = Records[Slot];
     if (!candidateLess(RuleIdx, BodyRefs, Old))
       return;

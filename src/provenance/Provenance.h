@@ -11,14 +11,13 @@
 /// (rule, witness tuples) derivation that produced it — canonical meaning
 /// the least candidate of the round the tuple first appeared in, ordered by
 /// rule index and then by the witness tuples' *contents* (not their dense
-/// indexes: a round's new tuples are appended in derivation order by the
-/// sequential engine but in content-sorted order by the parallel merge, so
-/// indexes differ across thread counts while contents never do). The
-/// surviving derivation is bit-identical for every `JACKEE_THREADS`
-/// setting (see DESIGN.md §8). Base facts carry no derivation; instead they are
-/// attributed to the *epoch* (extraction, bean-wiring round N, ...) during
-/// which they were inserted, via relation-size watermarks taken at each
-/// `beginEpoch` call.
+/// indexes: a round's new tuples are appended in the order the join plan
+/// derives them, so indexes differ between the textual and greedy plans
+/// while contents never do). The surviving derivation is bit-identical
+/// under either `JACKEE_PLAN` (see DESIGN.md §8). Base facts carry no
+/// derivation; instead they are attributed to the *epoch* (extraction,
+/// bean-wiring round N, ...) during which they were inserted, via
+/// relation-size watermarks taken at each `beginEpoch` call.
 ///
 /// On top of tuple provenance, the recorder keeps an audit trail of *glue
 /// events*: the imperative actions the framework layer performs between

@@ -263,19 +263,17 @@ TEST_P(DifferentialTest, EngineMatchesNaiveReference) {
   NaiveEvaluator Reference(DB, Rules);
   Reference.run();
 
-  // Randomize the worker count and join-plan mode per seed so the
-  // differential oracle also exercises the parallel staging/merge path and
-  // both planner modes, not just the sequential/textual defaults.
-  unsigned Threads = 1 + Rng() % 4;
+  // Randomize the join-plan mode per seed so the differential oracle
+  // exercises both planner modes, not just the default.
   PlanMode Plan = Rng() % 2 ? PlanMode::Greedy : PlanMode::Textual;
-  Evaluator Engine(DB, Rules, Threads, Plan);
+  Evaluator Engine(DB, Rules, Plan);
   ASSERT_EQ(Engine.validate(), "");
   Engine.run();
 
   for (uint32_t Rel = 0; Rel != DB.relationCount(); ++Rel)
     EXPECT_EQ(engineContents(DB, Rel), Reference.contents(Rel))
         << "relation " << DB.relation(RelationId(Rel)).name() << " (seed "
-        << GetParam() << ", threads " << Threads << ", plan "
+        << GetParam() << ", plan "
         << planModeName(Plan) << ")";
 }
 

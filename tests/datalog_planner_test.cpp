@@ -6,9 +6,8 @@
 // hand-built rules with known cardinalities, (b) hoist guards to the
 // earliest slot where their variables are bound, and (c) never change
 // results: relation contents and work counters are identical between
-// textual and greedy plans at every thread count. Also covers the
-// empty-pass pruning fix in task building and the index accounting that
-// feeds `observed.db.index_bytes`.
+// textual and greedy plans. Also covers the empty-pass pruning fix in pass
+// building and the index accounting that feeds `observed.db.index_bytes`.
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,10 +50,10 @@ std::vector<Contents> allContents(const Database &DB) {
   return Result;
 }
 
-/// Parses \p RuleText, loads facts, runs with the given thread count and
-/// plan mode, and returns all relation contents (plus stats if asked).
+/// Parses \p RuleText, loads facts, runs under the given plan mode, and
+/// returns all relation contents (plus stats if asked).
 std::vector<Contents>
-evaluateWith(unsigned Threads, PlanMode Plan, const char *RuleText,
+evaluateWith(PlanMode Plan, const char *RuleText,
              const std::function<void(Database &)> &LoadFacts,
              Evaluator::Stats *StatsOut = nullptr) {
   SymbolTable Symbols;
@@ -63,7 +62,7 @@ evaluateWith(unsigned Threads, PlanMode Plan, const char *RuleText,
   ParserResult PR = parseRules(DB, Rules, RuleText, "planner-test");
   EXPECT_TRUE(PR.Ok) << PR.Error;
   LoadFacts(DB);
-  Evaluator Eval(DB, Rules, Threads, Plan);
+  Evaluator Eval(DB, Rules, Plan);
   EXPECT_EQ(Eval.validate(), "");
   EXPECT_EQ(Eval.planMode(), Plan);
   Eval.run();
@@ -344,38 +343,37 @@ TEST(JoinPlanner, PlanModeParsingAndEnvResolution) {
   Database DB(Symbols);
   RuleSet Rules;
   ASSERT_TRUE(parseRules(DB, Rules, AdversarialJoinRules, "planner-test").Ok);
-  Evaluator Auto(DB, Rules, /*Threads=*/1);
+  Evaluator Auto(DB, Rules);
   EXPECT_EQ(Auto.planMode(), PlanMode::Textual);
-  Evaluator Explicit(DB, Rules, 1, PlanMode::Greedy);
+  Evaluator Explicit(DB, Rules, PlanMode::Greedy);
   EXPECT_EQ(Explicit.planMode(), PlanMode::Greedy);
   ASSERT_EQ(unsetenv("JACKEE_PLAN"), 0);
 }
 
 TEST(PassPruning, EmptyInputsEmitNoPasses) {
   // Two chained rules over an empty input: no pass can ever match, so no
-  // pass may run. The historical task builder emitted one empty-drive
-  // chunk per rule and counted it as a RuleEvaluation.
+  // pass may run. A historical pass builder emitted one empty-drive pass
+  // per rule and counted it as a RuleEvaluation.
   constexpr const char *Chain = ".decl in(a: symbol)\n"
                                 ".decl mid1(a: symbol)\n"
                                 ".decl out(a: symbol)\n"
                                 "mid1(x) :- in(x).\n"
                                 "out(x) :- mid1(x).\n";
-  for (unsigned Threads : {1u, 2u}) {
+  for (PlanMode Mode : {PlanMode::Textual, PlanMode::Greedy}) {
     Evaluator::Stats Stats;
-    evaluateWith(Threads, PlanMode::Greedy, Chain,
-                 [](Database &) {}, &Stats);
-    EXPECT_EQ(Stats.RuleEvaluations, 0u) << "threads=" << Threads;
+    evaluateWith(Mode, Chain, [](Database &) {}, &Stats);
+    EXPECT_EQ(Stats.RuleEvaluations, 0u) << planModeName(Mode);
     EXPECT_EQ(Stats.TuplesDerived, 0u);
     EXPECT_GE(Stats.StratumCount, 1u);
   }
 
   // One seeded fact: exactly one pass per stratum (no delta passes — the
   // body atoms are not in their head's stratum).
-  for (unsigned Threads : {1u, 2u}) {
+  for (PlanMode Mode : {PlanMode::Textual, PlanMode::Greedy}) {
     Evaluator::Stats Stats;
-    evaluateWith(Threads, PlanMode::Textual, Chain,
+    evaluateWith(Mode, Chain,
                  [](Database &DB) { DB.insertFact("in", {"a"}); }, &Stats);
-    EXPECT_EQ(Stats.RuleEvaluations, 2u) << "threads=" << Threads;
+    EXPECT_EQ(Stats.RuleEvaluations, 2u) << planModeName(Mode);
     EXPECT_EQ(Stats.TuplesDerived, 2u);
   }
 }
@@ -397,50 +395,36 @@ TEST(PassPruning, WorkCountersMatchAcrossPlanModesAndThreads) {
     DB.insertFact("tiny", {"n3"});
   };
 
-  Evaluator::Stats Baseline;
+  Evaluator::Stats Baseline, Stats;
   std::vector<Contents> Expected =
-      evaluateWith(1, PlanMode::Textual, Rules, Load, &Baseline);
-  for (PlanMode Mode : {PlanMode::Textual, PlanMode::Greedy}) {
-    for (unsigned Threads : {1u, 2u, 8u}) {
-      Evaluator::Stats Stats;
-      std::vector<Contents> Got =
-          evaluateWith(Threads, Mode, Rules, Load, &Stats);
-      SCOPED_TRACE(std::string(planModeName(Mode)) + "/threads=" +
-                   std::to_string(Threads));
-      EXPECT_EQ(Got, Expected);
-      EXPECT_EQ(Stats.RuleEvaluations, Baseline.RuleEvaluations);
-      EXPECT_EQ(Stats.TuplesDerived, Baseline.TuplesDerived);
-      EXPECT_EQ(Stats.StratumCount, Baseline.StratumCount);
-      ASSERT_EQ(Stats.Strata.size(), Baseline.Strata.size());
-      for (size_t I = 0; I != Stats.Strata.size(); ++I) {
-        EXPECT_EQ(Stats.Strata[I].Rounds, Baseline.Strata[I].Rounds);
-        EXPECT_EQ(Stats.Strata[I].RuleEvaluations,
-                  Baseline.Strata[I].RuleEvaluations);
-        EXPECT_EQ(Stats.Strata[I].TuplesDerived,
-                  Baseline.Strata[I].TuplesDerived);
-      }
-    }
+      evaluateWith(PlanMode::Textual, Rules, Load, &Baseline);
+  std::vector<Contents> Got =
+      evaluateWith(PlanMode::Greedy, Rules, Load, &Stats);
+  EXPECT_EQ(Got, Expected);
+  EXPECT_EQ(Stats.RuleEvaluations, Baseline.RuleEvaluations);
+  EXPECT_EQ(Stats.TuplesDerived, Baseline.TuplesDerived);
+  EXPECT_EQ(Stats.StratumCount, Baseline.StratumCount);
+  ASSERT_EQ(Stats.Strata.size(), Baseline.Strata.size());
+  for (size_t I = 0; I != Stats.Strata.size(); ++I) {
+    EXPECT_EQ(Stats.Strata[I].Rounds, Baseline.Strata[I].Rounds);
+    EXPECT_EQ(Stats.Strata[I].RuleEvaluations,
+              Baseline.Strata[I].RuleEvaluations);
+    EXPECT_EQ(Stats.Strata[I].TuplesDerived,
+              Baseline.Strata[I].TuplesDerived);
   }
 }
 
 TEST(PlanInvariance, AdversarialJoinIdenticalContents) {
   auto Load = [](Database &DB) { loadAdversarialFacts(DB, 2000, 110, 3); };
-  std::vector<Contents> Expected =
-      evaluateWith(1, PlanMode::Textual, AdversarialJoinRules, Load);
-  for (PlanMode Mode : {PlanMode::Textual, PlanMode::Greedy})
-    for (unsigned Threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE(std::string(planModeName(Mode)) + "/threads=" +
-                   std::to_string(Threads));
-      EXPECT_EQ(evaluateWith(Threads, Mode, AdversarialJoinRules, Load),
-                Expected);
-    }
+  EXPECT_EQ(evaluateWith(PlanMode::Greedy, AdversarialJoinRules, Load),
+            evaluateWith(PlanMode::Textual, AdversarialJoinRules, Load));
 }
 
 TEST(PlanInvariance, ReRunsDeriveOnlyNewConsequences) {
   // The bean-wiring loop re-runs the evaluator after inserting facts; the
   // planner re-plans each round against the grown relations. Both modes
   // must converge to the same contents after every re-run. The recursive
-  // rule also exercises the sequential postings walk under self-inserts
+  // rule also exercises the postings walk under self-inserts
   // (head relation == indexed body relation).
   constexpr const char *Rules = ".decl edge(a: symbol, b: symbol)\n"
                                 ".decl tc(a: symbol, b: symbol)\n"
@@ -454,7 +438,7 @@ TEST(PlanInvariance, ReRunsDeriveOnlyNewConsequences) {
     DB.insertFact("edge", {"a", "a"}); // self loop: same-key inserts
     for (int I = 0; I != 40; ++I)
       DB.insertFact("edge", {"a", "s" + std::to_string(I)});
-    Evaluator Eval(DB, Rules1, /*Threads=*/1, Mode);
+    Evaluator Eval(DB, Rules1, Mode);
     ASSERT_EQ(Eval.validate(), "");
     Eval.run();
     uint32_t AfterFirst = DB.relation(DB.find("tc")).size();

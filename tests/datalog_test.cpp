@@ -6,9 +6,19 @@
 
 #include "datalog/Database.h"
 #include "datalog/Evaluator.h"
+#include "datalog/Parser.h"
 #include "datalog/Rule.h"
+#include "provenance/Explain.h"
+#include "provenance/Provenance.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 using namespace jackee;
 using namespace jackee::datalog;
@@ -444,5 +454,255 @@ TEST_P(ChainClosureTest, PairCountMatchesFormula) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ChainClosureTest,
                          ::testing::Values(2, 3, 5, 10, 25, 60));
+
+//===----------------------------------------------------------------------===//
+// Parsed fixtures: per-stratum stats and plan-mode invariance on the two hot
+// shapes from the pipeline — plain transitive closure and a bean-wiring-
+// style multi-stratum program with negation and mutual recursion.
+//===----------------------------------------------------------------------===//
+
+using Tuple = std::vector<uint32_t>;
+using Contents = std::set<Tuple>;
+
+std::vector<Contents> allContents(const Database &DB) {
+  std::vector<Contents> Result(DB.relationCount());
+  for (uint32_t Rel = 0; Rel != DB.relationCount(); ++Rel) {
+    const Relation &R = DB.relation(RelationId(Rel));
+    for (uint32_t T = 0; T != R.size(); ++T) {
+      Tuple Tup;
+      for (uint32_t C = 0; C != R.arity(); ++C)
+        Tup.push_back(R.tuple(T)[C].rawValue());
+      Result[Rel].insert(Tup);
+    }
+  }
+  return Result;
+}
+
+/// Builds a program via the parser and loads facts, then evaluates under
+/// \p Plan and returns all relation contents.
+std::vector<Contents>
+evaluateWith(const char *RuleText,
+             const std::function<void(Database &)> &LoadFacts,
+             Evaluator::Stats *StatsOut = nullptr,
+             PlanMode Plan = PlanMode::Auto) {
+  SymbolTable Symbols;
+  Database DB(Symbols);
+  RuleSet Rules;
+  ParserResult PR = parseRules(DB, Rules, RuleText, "datalog-test");
+  EXPECT_TRUE(PR.Ok) << PR.Error;
+  LoadFacts(DB);
+  Evaluator Eval(DB, Rules, Plan);
+  EXPECT_EQ(Eval.validate(), "");
+  Eval.run();
+  if (StatsOut)
+    *StatsOut = Eval.stats();
+  return allContents(DB);
+}
+
+/// Renders the explain tree of every tuple, sorted: dense tuple order
+/// depends on the join order, but every tree names its root tuple in full,
+/// so the sorted set is a content-keyed comparison.
+std::vector<std::string>
+explainAll(PlanMode Plan, const char *RuleText,
+           const std::function<void(Database &)> &LoadFacts) {
+  SymbolTable Symbols;
+  Database DB(Symbols);
+  RuleSet Rules;
+  ParserResult PR = parseRules(DB, Rules, RuleText, "datalog-test");
+  EXPECT_TRUE(PR.Ok) << PR.Error;
+  provenance::ProvenanceRecorder Recorder(DB, Rules);
+  Recorder.beginEpoch("base");
+  LoadFacts(DB);
+  Evaluator Eval(DB, Rules, Plan);
+  EXPECT_EQ(Eval.validate(), "");
+  Eval.setObserver(&Recorder);
+  Eval.run();
+
+  provenance::Explainer Ex(DB, Rules, Recorder);
+  std::vector<std::string> Trees;
+  for (uint32_t Rel = 0; Rel != DB.relationCount(); ++Rel) {
+    const Relation &R = DB.relation(RelationId(Rel));
+    for (uint32_t T = 0; T != R.size(); ++T)
+      Trees.push_back(provenance::Explainer::renderText(
+          Ex.explain(RelationId(Rel), T)));
+  }
+  std::sort(Trees.begin(), Trees.end());
+  return Trees;
+}
+
+constexpr const char *TransitiveClosureRules =
+    ".decl edge(a: symbol, b: symbol)\n"
+    ".decl path(a: symbol, b: symbol)\n"
+    "path(x, y) :- edge(x, y).\n"
+    "path(x, z) :- path(x, y), edge(y, z).\n";
+
+void loadChain(Database &DB, int N) {
+  for (int I = 0; I + 1 < N; ++I)
+    DB.insertFact("edge",
+                  {"n" + std::to_string(I), "n" + std::to_string(I + 1)});
+}
+
+/// A seeded random graph with wide per-round deltas.
+void loadRandomGraph(Database &DB, int Nodes, int Edges, uint32_t Seed) {
+  std::mt19937 Rng(Seed);
+  for (int I = 0; I != Edges; ++I)
+    DB.insertFact("edge", {"n" + std::to_string(Rng() % Nodes),
+                           "n" + std::to_string(Rng() % Nodes)});
+}
+
+/// A bean-wiring-style fixture: the vocabulary shape of the framework layer
+/// (class facts feed beans, beans feed injections, `Wired` closes over the
+/// injection graph recursively, and a later stratum uses negation to find
+/// unwired beans).
+constexpr const char *BeanWiringRules =
+    ".decl Class(c: symbol)\n"
+    ".decl Annotated(c: symbol, a: symbol)\n"
+    ".decl Injection(site: symbol, from: symbol, to: symbol)\n"
+    ".decl Bean(c: symbol)\n"
+    ".decl Wired(a: symbol, b: symbol)\n"
+    ".decl Unwired(c: symbol)\n"
+    "Bean(c) :- Annotated(c, \"@Component\").\n"
+    "Bean(c) :- Annotated(c, \"@Service\").\n"
+    "Wired(a, b) :- Injection(_s, a, b), Bean(a), Bean(b).\n"
+    "Wired(a, c) :- Wired(a, b), Wired(b, c).\n"
+    "Unwired(c) :- Bean(c), !Wired(c, c), Class(c).\n";
+
+void loadBeanFacts(Database &DB, int Classes, uint32_t Seed) {
+  std::mt19937 Rng(Seed);
+  for (int I = 0; I != Classes; ++I) {
+    std::string C = "app.C" + std::to_string(I);
+    DB.insertFact("Class", {C});
+    if (Rng() % 3 != 0)
+      DB.insertFact("Annotated", {C, Rng() % 2 ? "@Component" : "@Service"});
+  }
+  for (int I = 0; I != Classes * 3; ++I)
+    DB.insertFact("Injection",
+                  {"site" + std::to_string(I),
+                   "app.C" + std::to_string(Rng() % Classes),
+                   "app.C" + std::to_string(Rng() % Classes)});
+}
+
+TEST(DatalogStats, PerStratumRecordsAddUp) {
+  Evaluator::Stats Stats;
+  evaluateWith(
+      BeanWiringRules, [](Database &DB) { loadBeanFacts(DB, 30, 5); }, &Stats);
+
+  EXPECT_EQ(Stats.StratumCount, Stats.Strata.size());
+  EXPECT_GT(Stats.StratumCount, 1u); // Bean/Wired/Unwired split strata
+  uint64_t Tuples = 0, Passes = 0;
+  uint32_t RuleCount = 0;
+  for (const Evaluator::StratumStats &SS : Stats.Strata) {
+    Tuples += SS.TuplesDerived;
+    Passes += SS.RuleEvaluations;
+    RuleCount += SS.Rules;
+    EXPECT_GE(SS.Rounds, 1u);
+    EXPECT_GE(SS.WallSeconds, 0.0);
+  }
+  EXPECT_EQ(Tuples, Stats.TuplesDerived);
+  EXPECT_EQ(Passes, Stats.RuleEvaluations);
+  EXPECT_EQ(RuleCount, 5u); // the five BeanWiring rules
+  EXPECT_GT(Stats.TuplesDerived, 0u);
+}
+
+TEST(DatalogStats, StatsAccumulateMonotonicallyAcrossRuns) {
+  // StratumStats fields accumulate across run() calls (the bean-wiring
+  // loop re-runs the evaluator once per solver round) — documented in
+  // Evaluator.h; this pins the semantics. Every counter must be monotone
+  // non-decreasing over an evaluator's lifetime, including across no-op
+  // re-runs and re-runs that pick up externally inserted facts.
+  SymbolTable Symbols;
+  Database DB(Symbols);
+  RuleSet Rules;
+  ASSERT_TRUE(
+      parseRules(DB, Rules, TransitiveClosureRules, "datalog-test").Ok);
+  loadChain(DB, 20);
+  Evaluator Eval(DB, Rules);
+  ASSERT_EQ(Eval.validate(), "");
+
+  auto check = [](const Evaluator::Stats &Prev, const Evaluator::Stats &Next) {
+    EXPECT_GE(Next.TuplesDerived, Prev.TuplesDerived);
+    EXPECT_GE(Next.RuleEvaluations, Prev.RuleEvaluations);
+    ASSERT_EQ(Next.Strata.size(), Prev.Strata.size());
+    for (size_t I = 0; I != Next.Strata.size(); ++I) {
+      const Evaluator::StratumStats &P = Prev.Strata[I];
+      const Evaluator::StratumStats &N = Next.Strata[I];
+      EXPECT_EQ(N.Rules, P.Rules);
+      EXPECT_GE(N.Rounds, P.Rounds);
+      EXPECT_GE(N.RuleEvaluations, P.RuleEvaluations);
+      EXPECT_GE(N.TuplesDerived, P.TuplesDerived);
+      EXPECT_GE(N.WallSeconds, P.WallSeconds);
+    }
+  };
+
+  Eval.run();
+  Evaluator::Stats First = Eval.stats();
+  EXPECT_GT(First.TuplesDerived, 0u);
+
+  Eval.run(); // no new facts: a no-op run still adds its (empty) rounds
+  Evaluator::Stats Second = Eval.stats();
+  check(First, Second);
+  EXPECT_EQ(Second.TuplesDerived, First.TuplesDerived);
+
+  DB.insertFact("edge", {"n19", "n20"});
+  Eval.run();
+  Evaluator::Stats Third = Eval.stats();
+  check(Second, Third);
+  EXPECT_GT(Third.TuplesDerived, Second.TuplesDerived);
+}
+
+TEST(PlanInvariance, ContentsAndCountersMatchAcrossPlanModesAndThreads) {
+  // The cost-guided planner may only change how fast the fixpoint is
+  // reached: relation contents, rule×delta pass counts, and derived-tuple
+  // counts are identical to the textual baseline on both pipeline-shaped
+  // fixtures.
+  struct Fixture {
+    const char *Name;
+    const char *Rules;
+    std::function<void(Database &)> Load;
+  };
+  const Fixture Fixtures[] = {
+      {"tc-wide", TransitiveClosureRules,
+       [](Database &DB) { loadRandomGraph(DB, 100, 400, 17); }},
+      {"bean-wiring", BeanWiringRules,
+       [](Database &DB) { loadBeanFacts(DB, 40, 23); }},
+  };
+  for (const Fixture &F : Fixtures) {
+    Evaluator::Stats Baseline, Stats;
+    std::vector<Contents> Expected =
+        evaluateWith(F.Rules, F.Load, &Baseline, PlanMode::Textual);
+    EXPECT_EQ(evaluateWith(F.Rules, F.Load, &Stats, PlanMode::Greedy),
+              Expected)
+        << F.Name;
+    EXPECT_EQ(Stats.RuleEvaluations, Baseline.RuleEvaluations) << F.Name;
+    EXPECT_EQ(Stats.TuplesDerived, Baseline.TuplesDerived) << F.Name;
+    EXPECT_EQ(Stats.StratumCount, Baseline.StratumCount) << F.Name;
+  }
+}
+
+TEST(PlanInvariance, ExplainTreesAreIdenticalAcrossPlanModes) {
+  // Stronger than contents: the canonical derivation of every tuple must
+  // not depend on the join order either. The planner changes enumeration
+  // order within a pass, but the provenance tie-break (lowest rule, then
+  // the witnesses' contents) is order-free, so rendered trees coincide
+  // across plan modes.
+  struct Fixture {
+    const char *Name;
+    const char *Rules;
+    std::function<void(Database &)> Load;
+  };
+  const Fixture Fixtures[] = {
+      {"tc-wide", TransitiveClosureRules,
+       [](Database &DB) { loadRandomGraph(DB, 60, 240, 7); }},
+      {"bean-wiring", BeanWiringRules,
+       [](Database &DB) { loadBeanFacts(DB, 30, 29); }},
+  };
+  for (const Fixture &F : Fixtures) {
+    std::vector<std::string> Expected =
+        explainAll(PlanMode::Textual, F.Rules, F.Load);
+    EXPECT_FALSE(Expected.empty()) << F.Name;
+    EXPECT_EQ(explainAll(PlanMode::Greedy, F.Rules, F.Load), Expected)
+        << F.Name;
+  }
+}
 
 } // namespace

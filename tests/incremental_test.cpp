@@ -250,7 +250,6 @@ class IncrementalDifferential
 
 TEST_P(IncrementalDifferential, RandomEditSequenceMatchesFromScratch) {
   auto [Seed, Threads] = GetParam();
-  EnvGuard DatalogEnv("JACKEE_THREADS", std::to_string(Threads));
   EnvGuard SolverEnv("JACKEE_SOLVER_THREADS", std::to_string(Threads));
   std::mt19937 Rng(Seed);
   runDifferential(Rng, /*Edits=*/5);
@@ -305,6 +304,27 @@ TEST(IncrementalScripted, RetractionRemovesDerivedEntryPoints) {
   ASSERT_TRUE(Cold.ok()) << Cold.error().Message;
   // Add+remove must land exactly back on the unedited program's fixpoint.
   EXPECT_EQ(Digest, Cold->canonicalDigest());
+
+  // The digest's shape: sorted, newline-terminated `reach`/`vpt`/`cg`
+  // lines, each kind present.
+  ASSERT_FALSE(Digest.empty());
+  EXPECT_EQ(Digest.back(), '\n');
+  std::vector<std::string> Lines;
+  for (size_t Begin = 0, End; Begin < Digest.size(); Begin = End + 1) {
+    End = Digest.find('\n', Begin);
+    Lines.push_back(Digest.substr(Begin, End - Begin));
+  }
+  EXPECT_TRUE(std::is_sorted(Lines.begin(), Lines.end()));
+  for (const char *Kind : {"reach ", "vpt ", "cg "})
+    EXPECT_TRUE(std::any_of(Lines.begin(), Lines.end(),
+                            [&](const std::string &L) {
+                              return L.rfind(Kind, 0) == 0;
+                            }))
+        << "no line starts with \"" << Kind << "\"";
+  for (const std::string &L : Lines)
+    EXPECT_TRUE(L.rfind("reach ", 0) == 0 || L.rfind("vpt ", 0) == 0 ||
+                L.rfind("cg ", 0) == 0)
+        << "malformed digest line: " << L;
 }
 
 TEST(IncrementalErrors, UnknownRetractionsLeaveTheCellUsable) {

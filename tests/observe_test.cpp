@@ -3,12 +3,12 @@
 // Part of JackEE-CPP (PLDI'20 "Frameworks and Caches" reproduction).
 //
 // Covers the observe subsystem end to end: span nesting and cross-thread
-// parenting, the deterministic structure renderer (worker exclusion, sibling
-// sorting), Chrome trace-event export escaping, the metrics registry
+// parenting, the deterministic structure renderer (sibling sorting), Chrome
+// trace-event export escaping, the metrics registry
 // (counter/gauge/histogram semantics), JSON string escaping in
 // metricsToJson, evaluator-stats column alignment, and the headline
 // invariance sweep: the timestamp-stripped span tree of a full session is
-// bit-identical at any thread/job count.
+// bit-identical at any solver-thread/job count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -133,7 +133,6 @@ TEST(RenderStructureTest, SortsSiblingsAndSkipsWorkerSpans) {
     {
       // Recorded b-then-a: the renderer must sort sibling subtrees.
       Span B(&T, "b-phase", "datalog");
-      Span Merge(&T, "merge:VarPointsTo", Tracer::WorkerCategory);
     }
     Span A(&T, "a-phase", "datalog");
     A.arg("round", 2);
@@ -142,9 +141,6 @@ TEST(RenderStructureTest, SortsSiblingsAndSkipsWorkerSpans) {
   EXPECT_EQ(Structure, "root [session]\n"
                        "  a-phase [datalog] round=2\n"
                        "  b-phase [datalog]\n");
-  // The worker span still exists for the Chrome export and flame summary.
-  EXPECT_NE(writeChromeTrace(T).find("merge:VarPointsTo"), std::string::npos);
-  EXPECT_NE(renderFlame(T).find("merge:VarPointsTo"), std::string::npos);
 }
 
 TEST(RenderStructureTest, ConcurrentCellsSerializeCanonically) {
@@ -203,8 +199,8 @@ double sampleValue(const std::vector<MetricsRegistry::Sample> &Samples,
 
 TEST(MetricsRegistryTest, CountersGaugesHistograms) {
   MetricsRegistry R;
-  R.add("datalog.worker_idle_seconds", 0.25);
-  R.add("datalog.worker_idle_seconds", 0.75);
+  R.add("pointsto.sched.barrier_s", 0.25);
+  R.add("pointsto.sched.barrier_s", 0.75);
   R.set("db.relation_bytes", 1024);
   R.set("db.relation_bytes", 2048); // last write wins
   for (double V : {1.0, 2.0, 3.0, 4.0})
@@ -215,7 +211,7 @@ TEST(MetricsRegistryTest, CountersGaugesHistograms) {
   // Sorted by name, histograms expanded.
   for (size_t I = 1; I < Samples.size(); ++I)
     EXPECT_LT(Samples[I - 1].Name, Samples[I].Name);
-  EXPECT_DOUBLE_EQ(sampleValue(Samples, "datalog.worker_idle_seconds"), 1.0);
+  EXPECT_DOUBLE_EQ(sampleValue(Samples, "pointsto.sched.barrier_s"), 1.0);
   EXPECT_DOUBLE_EQ(sampleValue(Samples, "db.relation_bytes"), 2048);
   EXPECT_DOUBLE_EQ(sampleValue(Samples, "datalog.round_delta_tuples.count"),
                    4);
@@ -275,7 +271,6 @@ TEST(MetricsJsonTest, EscapesNamesAndExportsObservedSamples) {
 
 TEST(EvaluatorStatsReportTest, ColumnsStayAlignedForHugeCounts) {
   datalog::Evaluator::Stats S;
-  S.Threads = 4;
   S.StratumCount = 2;
   S.TuplesDerived = 123456789012345ull;
   S.RuleEvaluations = 987654321ull;
@@ -291,7 +286,6 @@ TEST(EvaluatorStatsReportTest, ColumnsStayAlignedForHugeCounts) {
   Huge.RuleEvaluations = 987654315ull;
   Huge.TuplesDerived = 123456789012335ull; // wider than the legacy column
   Huge.WallSeconds = 12345.6789;
-  Huge.WorkerBusySeconds = 4 * 12345.6789;
   S.Strata = {Small, Huge};
 
   std::string Report = core::evaluatorStatsReport(S);
@@ -305,14 +299,13 @@ TEST(EvaluatorStatsReportTest, ColumnsStayAlignedForHugeCounts) {
   for (const std::string &Row : Rows)
     EXPECT_EQ(Row.size(), Rows[0].size()) << "misaligned row: " << Row;
   EXPECT_NE(Rows[0].find("stratum"), std::string::npos);
-  EXPECT_NE(Rows[0].find("util(%)"), std::string::npos);
+  EXPECT_NE(Rows[0].find("wall(s)"), std::string::npos);
   EXPECT_NE(Rows[2].find("123456789012335"), std::string::npos);
-  EXPECT_NE(Rows[2].find("100.0"), std::string::npos);
+  EXPECT_NE(Rows[2].find("12345.6789"), std::string::npos);
 }
 
 TEST(EvaluatorStatsReportTest, LegacyWidthsForSmallCounts) {
   datalog::Evaluator::Stats S;
-  S.Threads = 1;
   S.StratumCount = 1;
   datalog::Evaluator::StratumStats SS;
   SS.Rules = 2;
@@ -324,10 +317,10 @@ TEST(EvaluatorStatsReportTest, LegacyWidthsForSmallCounts) {
   std::string Report = core::evaluatorStatsReport(S);
   // Small values right-align at the legacy minimum widths.
   EXPECT_NE(Report.find("  stratum  rules  rounds  passes     tuples"
-                        "   wall(s)  util(%)\n"),
+                        "   wall(s)\n"),
             std::string::npos);
   EXPECT_NE(Report.find("        0      2       3       6         42"
-                        "    0.5000      0.0\n"),
+                        "    0.5000\n"),
             std::string::npos);
 }
 
@@ -337,7 +330,7 @@ TEST(EvaluatorStatsReportTest, LegacyWidthsForSmallCounts) {
 
 /// Runs a 2-app x 2-kind matrix with tracing on and returns the
 /// deterministic structure render.
-std::string tracedMatrixStructure(unsigned Jobs, unsigned Threads) {
+std::string tracedMatrixStructure(unsigned Jobs, unsigned SolverThreads) {
   std::vector<Application> Apps = {
       synth::applicationFor(synth::BenchApp::WebGoat),
       synth::applicationFor(synth::BenchApp::Pybbs)};
@@ -345,7 +338,7 @@ std::string tracedMatrixStructure(unsigned Jobs, unsigned Threads) {
                                      AnalysisKind::Mod2ObjH};
   SessionOptions SO;
   SO.Jobs = Jobs;
-  SO.DatalogThreads = Threads;
+  SO.SolverThreads = SolverThreads;
   SO.Trace = true;
   AnalysisSession Session(SO);
   std::vector<AnalysisResult> Results = Session.runMatrix(Apps, Kinds);
@@ -358,8 +351,9 @@ std::string tracedMatrixStructure(unsigned Jobs, unsigned Threads) {
 
 TEST(TraceInvarianceSweep, StructureIdenticalAcrossThreadsAndJobs) {
   // The acceptance criterion of DESIGN.md §9.2: the timestamp-stripped span
-  // tree is bit-identical across JACKEE_THREADS 1/2/8 and JACKEE_JOBS 1/4.
-  std::string Baseline = tracedMatrixStructure(/*Jobs=*/1, /*Threads=*/1);
+  // tree is bit-identical across solver threads 1/2/8 and jobs 1/4.
+  std::string Baseline =
+      tracedMatrixStructure(/*Jobs=*/1, /*SolverThreads=*/1);
   ASSERT_FALSE(Baseline.empty());
   // Sanity: the tree exercises every instrumented layer.
   for (const char *Needle :
@@ -371,17 +365,17 @@ TEST(TraceInvarianceSweep, StructureIdenticalAcrossThreadsAndJobs) {
         << "structure is missing \"" << Needle << "\"";
   for (unsigned Threads : {2u, 8u})
     EXPECT_EQ(Baseline, tracedMatrixStructure(1, Threads))
-        << "threads=" << Threads;
+        << "solver threads=" << Threads;
   for (unsigned Jobs : {4u})
     EXPECT_EQ(Baseline, tracedMatrixStructure(Jobs, 1)) << "jobs=" << Jobs;
 }
 
 TEST(TraceInvarianceSweep, SingleCellStructureMatchesAcrossThreads) {
   // Same contract through the single-cell API (no matrix span).
-  auto structureFor = [](unsigned Threads) {
+  auto structureFor = [](unsigned SolverThreads) {
     SessionOptions SO;
     SO.Jobs = 1;
-    SO.DatalogThreads = Threads;
+    SO.SolverThreads = SolverThreads;
     SO.Trace = true;
     AnalysisSession Session(SO);
     AnalysisResult R = Session.run(
@@ -399,7 +393,6 @@ TEST(TraceInvarianceSweep, SingleCellStructureMatchesAcrossThreads) {
 TEST(SessionTraceTest, ObservedMetricsReachMetricsJson) {
   SessionOptions SO;
   SO.Jobs = 1;
-  SO.DatalogThreads = 2; // parallel evaluator populates worker gauges
   AnalysisSession Session(SO);
   AnalysisResult R = Session.run(
       synth::applicationFor(synth::BenchApp::WebGoat), AnalysisKind::CI);

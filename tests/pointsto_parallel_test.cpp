@@ -236,9 +236,9 @@ TEST(ThreadResolution, ExplicitCountIsClamped) {
 /// byte-identical across `SolverThreads` settings.
 bool isVolatileMetricLine(const std::string &Line) {
   static const char *VolatileKeys[] = {
-      "seconds",       "real_time",        "tuples_per_sec",
-      "peak_rss",      "utilization",      "solver_threads",
-      "pointsto.sched", "pointsto.shard.steals",
+      "seconds",        "real_time",      "tuples_per_sec",
+      "peak_rss",       "solver_threads", "pointsto.sched",
+      "pointsto.shard.steals",
   };
   for (const char *Key : VolatileKeys)
     if (Line.find(Key) != std::string::npos)
@@ -268,7 +268,6 @@ CellRun runCell(const core::Application &App, core::AnalysisKind Kind,
                 unsigned SolverThreads, bool Capture) {
   core::SessionOptions SO;
   SO.Jobs = 1;
-  SO.DatalogThreads = 1; // isolate the solver as the only varying knob
   SO.SolverThreads = SolverThreads;
   core::AnalysisSession Session(SO);
 

@@ -54,13 +54,13 @@ struct RecordedRun {
 
   RecordedRun(const char *RuleText, const char *Origin,
               const std::function<void(Database &)> &LoadFacts,
-              unsigned Threads = 1, const char *Epoch = "base")
+              PlanMode Plan = PlanMode::Auto, const char *Epoch = "base")
       : DB(Symbols), Recorder(DB, Rules) {
     ParserResult PR = parseRules(DB, Rules, RuleText, Origin);
     EXPECT_TRUE(PR.Ok) << PR.Error;
     Recorder.beginEpoch(Epoch);
     LoadFacts(DB);
-    Eval = std::make_unique<Evaluator>(DB, Rules, Threads);
+    Eval = std::make_unique<Evaluator>(DB, Rules, Plan);
     EXPECT_EQ(Eval->validate(), "");
     Eval->setObserver(&Recorder);
     Eval->run();
@@ -167,29 +167,51 @@ TEST(Recorder, WitnessRefsAreBodyOrderAndCompose) {
 
 TEST(Recorder, CanonicalDerivationIsLeastRuleThenLeastRefs) {
   // Both rules derive out("v") in the same round; the canonical record must
-  // be the lexicographically least candidate — rule 0 — at any thread
-  // count, regardless of evaluation order.
+  // be the lexicographically least candidate — rule 0 — under either plan
+  // mode, regardless of evaluation order.
   const char *Rules = ".decl a(x: symbol)\n"
                       ".decl b(x: symbol)\n"
                       ".decl out(x: symbol)\n"
                       "out(x) :- a(x).\n"
                       "out(x) :- b(x).\n";
-  for (unsigned Threads : {1u, 2u, 8u}) {
+  for (PlanMode Plan : {PlanMode::Textual, PlanMode::Greedy}) {
     RecordedRun R(Rules, "test.dl",
                   [](Database &DB) {
                     DB.insertFact("a", {"v"});
                     DB.insertFact("b", {"v"});
                   },
-                  Threads);
+                  Plan);
     const Relation &Out = R.DB.relation(R.DB.find("out"));
     ASSERT_EQ(Out.size(), 1u);
     const ProvenanceRecorder::Record *Rec =
         R.Recorder.derivationOf(R.rel("out"), 0);
     ASSERT_NE(Rec, nullptr);
-    EXPECT_EQ(Rec->RuleIdx, 0u) << "thread count " << Threads;
+    EXPECT_EQ(Rec->RuleIdx, 0u) << "plan " << planModeName(Plan);
     EXPECT_EQ(R.Recorder.stats().CandidatesSeen, 2u);
     EXPECT_EQ(R.Recorder.stats().TuplesRecorded, 1u);
   }
+
+  // Same rule, two witnesses: the scan meets a("v", "late") first, but
+  // a("v", "early") orders first by contents ("early" is interned first),
+  // so the later candidate must replace the earlier one.
+  RecordedRun Same(".decl a(x: symbol, y: symbol)\n"
+                   ".decl seen(y: symbol)\n"
+                   ".decl out(x: symbol)\n"
+                   "out(x) :- a(x, _y).\n",
+                   "test.dl", [](Database &DB) {
+                     DB.insertFact("seen", {"early"});
+                     DB.insertFact("a", {"v", "late"});
+                     DB.insertFact("a", {"v", "early"});
+                   });
+  const ProvenanceRecorder::Record *Rec =
+      Same.Recorder.derivationOf(Same.rel("out"), 0);
+  ASSERT_NE(Rec, nullptr);
+  std::span<const uint32_t> Refs = Same.Recorder.refs(*Rec);
+  ASSERT_EQ(Refs.size(), 1u);
+  const Relation &A = Same.DB.relation(Same.DB.find("a"));
+  EXPECT_EQ(Same.Symbols.text(A.tuple(Refs[0])[1]), "early");
+  EXPECT_EQ(Same.Recorder.stats().CandidatesSeen, 2u);
+  EXPECT_EQ(Same.Recorder.stats().CandidatesReplaced, 1u);
 }
 
 TEST(Recorder, EpochWatermarksAttributeBaseFacts) {
@@ -254,7 +276,7 @@ TEST(Recorder, RerunFreezesExistingRecords) {
 TEST(Explain, TreeBottomsOutInBaseFactsWithOrigins) {
   RecordedRun R(TransitiveClosureRules, "myframework.dl",
                 [](Database &DB) { loadChain(DB, 4); },
-                /*Threads=*/1, /*Epoch=*/"extraction");
+                PlanMode::Auto, /*Epoch=*/"extraction");
   Explainer Ex(R.DB, R.Rules, R.Recorder);
 
   std::string Error;

@@ -70,7 +70,6 @@ TEST(SnapshotCacheTest, CloneEquivalentToFreshBuild) {
 
   SessionOptions Cached;
   Cached.Jobs = 1;
-  Cached.DatalogThreads = 1;
   Cached.SnapshotCache = true;
   SessionOptions Fresh = Cached;
   Fresh.SnapshotCache = false;
@@ -100,13 +99,11 @@ TEST(SnapshotCacheTest, CloneEquivalentToFreshBuild) {
 TEST(SnapshotCacheTest, RunAnalysisWrapperMatchesSession) {
   Application App = synth::applicationFor(synth::BenchApp::Pybbs);
   PipelineOptions PO;
-  PO.DatalogThreads = 1;
   Metrics Wrapper =
       runAnalysis(App, AnalysisKind::Mod2ObjH, {}, PO).value();
 
   SessionOptions SO;
   SO.Jobs = 1;
-  SO.DatalogThreads = 1;
   AnalysisSession Session(SO);
   AnalysisResult Cell = Session.run(App, AnalysisKind::Mod2ObjH);
   ASSERT_TRUE(Cell.ok());
@@ -123,7 +120,6 @@ TEST(MatrixTest, CacheHitAccountingIsDeterministic) {
   for (unsigned Jobs : {1u, 4u}) {
     SessionOptions SO;
     SO.Jobs = Jobs;
-    SO.DatalogThreads = 1;
     AnalysisSession Session(SO);
     std::vector<AnalysisResult> Results = Session.runMatrix(Apps, Kinds);
     ASSERT_EQ(Results.size(), 6u);
@@ -166,7 +162,6 @@ TEST_P(MatrixDeterminismSweep, ParallelMatchesSequential) {
 
   SessionOptions Seq;
   Seq.Jobs = 1;
-  Seq.DatalogThreads = 1;
   SessionOptions Par = Seq;
   Par.Jobs = Jobs;
 
@@ -266,7 +261,6 @@ TEST(MatrixTest, ErrorCellsDoNotPoisonTheMatrix) {
 
   SessionOptions SO;
   SO.Jobs = 2;
-  SO.DatalogThreads = 1;
   AnalysisSession Session(SO);
   std::vector<AnalysisResult> Results = Session.runMatrix(Apps, Kinds);
   ASSERT_EQ(Results.size(), 2u);
@@ -278,7 +272,6 @@ TEST(MatrixTest, ErrorCellsDoNotPoisonTheMatrix) {
 TEST(MetricsJsonTest, ContainsEveryField) {
   Application App = synth::applicationFor(synth::BenchApp::WebGoat);
   PipelineOptions PO;
-  PO.DatalogThreads = 1;
   Metrics M = runAnalysis(App, AnalysisKind::Mod2ObjH, {}, PO).value();
   std::string Json = metricsToJson(M, 2);
 
@@ -288,10 +281,12 @@ TEST(MetricsJsonTest, ContainsEveryField) {
         "\"avg_objs_per_var\"", "\"call_graph_edges\"",
         "\"app_poly_vcalls\"", "\"app_mayfail_casts\"",
         "\"vpt_tuples_total\"", "\"java_util_share\"",
-        "\"datalog_threads\"", "\"snapshot_build_seconds\"",
+        "\"datalog_tuples_derived\"", "\"snapshot_build_seconds\"",
         "\"populate_seconds\"", "\"total_seconds\"",
         "\"snapshot_cache_hit\""})
     EXPECT_NE(Json.find(Key), std::string::npos) << "missing " << Key;
+  EXPECT_EQ(Json.find("datalog_threads"), std::string::npos);
+  EXPECT_EQ(Json.find("datalog_utilization"), std::string::npos);
   // Joinable rows: no trailing comma or newline.
   EXPECT_EQ(Json.back(), '}');
 }

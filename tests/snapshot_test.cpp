@@ -241,7 +241,6 @@ TEST(SnapshotStoreTest, LoadVsBuildDigestEqualityAcrossThreads) {
 
   for (unsigned Threads : {1u, 2u, 8u}) {
     SessionOptions BuildOptions;
-    BuildOptions.DatalogThreads = Threads;
     BuildOptions.SolverThreads = Threads;
     SessionOptions LoadOptions = BuildOptions;
     LoadOptions.SnapshotDir = Dir.path();
