@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "datalog/Database.h"
+#include "support/DenseSet.h"
 
 #include <algorithm>
 
@@ -184,9 +185,8 @@ size_t Relation::indexBytes() const {
 }
 
 size_t Relation::bytes() const {
-  return Data.capacity() * sizeof(Symbol) +
-         Dedup.bucket_count() * sizeof(void *) +
-         Dedup.size() * (sizeof(uint32_t) + sizeof(void *)) + indexBytes();
+  return Data.capacity() * sizeof(Symbol) + hashTableBytes(Dedup) +
+         indexBytes();
 }
 
 RelationId Database::declare(std::string_view Name, uint32_t Arity) {

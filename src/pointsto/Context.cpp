@@ -17,6 +17,7 @@ CtxId ContextTable::intern(SiteSpan Sites) {
     return CtxId(It->second);
   uint32_t Index = static_cast<uint32_t>(Contexts.size());
   Contexts.emplace_back(Sites.begin(), Sites.end());
+  SiteBytes += Sites.size() * sizeof(ir::AllocSiteId);
   Lookup.emplace(Contexts.back(), Index);
   return CtxId(Index);
 }

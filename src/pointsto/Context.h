@@ -18,6 +18,7 @@
 #define JACKEE_POINTSTO_CONTEXT_H
 
 #include "ir/Program.h"
+#include "support/DenseSet.h"
 #include "support/Hashing.h"
 
 #include <algorithm>
@@ -60,6 +61,13 @@ public:
 
   size_t size() const { return Contexts.size(); }
 
+  /// Estimated owned bytes: the context vectors, their site lists (stored
+  /// twice: once as the context, once as its lookup key), and the lookup.
+  size_t bytes() const {
+    return Contexts.capacity() * sizeof(Contexts[0]) + 2 * SiteBytes +
+           hashTableBytes(Lookup);
+  }
+
 private:
   using SiteSpan = std::span<const ir::AllocSiteId>;
   /// Hash and equality over spans, so a lookup takes any sequence — a
@@ -85,6 +93,7 @@ private:
   std::unordered_map<std::vector<ir::AllocSiteId>, uint32_t, SeqHash,
                      SeqEqual>
       Lookup;
+  size_t SiteBytes = 0; ///< sites across all contexts, in bytes
 };
 
 } // namespace pointsto

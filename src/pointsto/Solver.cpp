@@ -12,8 +12,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <new>
 #include <string_view>
 #include <thread>
+#include <tuple>
 
 using namespace jackee;
 using namespace jackee::ir;
@@ -80,20 +82,28 @@ StampSet &emptyStampSet(size_t Universe) {
   return Set;
 }
 
-/// Unions the sorted run \p New[0, Add), none of whose elements \p Dst
-/// holds, into the sorted \p Dst in place: grows it and merges from the
-/// back, so no buffer beyond the run is needed.
+/// Unions the sorted run \p New[0, Add), none of whose elements the sorted
+/// \p Dst[0, Old) holds, into \p Dst, which has room for `Old + Add`:
+/// merges from the back, so no buffer beyond the run is needed.
 template <typename T, typename LessFn>
-void unionFromBack(std::vector<T> &Dst, const T *New, size_t Add,
+void unionFromBack(T *Dst, size_t Old, const T *New, size_t Add,
                    LessFn Less) {
-  size_t Old = Dst.size();
-  Dst.resize(Old + Add);
   for (size_t Out = Old + Add; Add != 0;) {
     if (Old != 0 && Less(New[Add - 1], Dst[Old - 1]))
       Dst[--Out] = Dst[--Old];
     else
       Dst[--Out] = New[--Add];
   }
+}
+
+/// Resizes the set buffer \p Words to exactly \p Len words, keeping its
+/// prefix.
+template <typename BufferT> void resizeWords(BufferT &Words, size_t Len) {
+  void *Grown = std::realloc(Words.get(), Len * sizeof(uint32_t));
+  if (!Grown)
+    throw std::bad_alloc();
+  (void)Words.release();
+  Words.reset(static_cast<uint32_t *>(Grown));
 }
 
 /// Frees \p V's buffer: `V = {}` would pick the initializer-list
@@ -104,6 +114,15 @@ template <typename T> void release(std::vector<T> &V) {
 
 template <typename T> uint64_t capacityBytes(const std::vector<T> &V) {
   return uint64_t(V.capacity()) * sizeof(T);
+}
+
+/// Appends \p X to \p V, keeping \p Bytes equal to the summed capacity
+/// bytes of the vectors it counts.
+template <typename T>
+void pushCounted(std::vector<T> &V, const T &X, uint64_t &Bytes) {
+  Bytes -= capacityBytes(V);
+  V.push_back(X);
+  Bytes += capacityBytes(V);
 }
 
 } // namespace
@@ -159,16 +178,12 @@ NodeId Solver::internNode(NodeKind Kind, uint32_t A, uint32_t B) {
     return NodeId(Slot);
   uint32_t Index = static_cast<uint32_t>(Nodes.size());
   Slot = Index;
-  Nodes.push_back({Kind, false, A, B});
-  PointsTo.emplace_back();
-  Edges.emplace_back();
-  EdgesSorted.push_back(0);
-  Reactions.emplace_back();
+  Nodes.emplace_back(Kind, A, B);
 
   if (Kind == NodeKind::Var) {
     if (A >= VarNodes.size())
       VarNodes.resize(std::max<size_t>(P.variableCount(), A + 1));
-    VarNodes[A].push_back(NodeId(Index));
+    pushCounted(VarNodes[A], NodeId(Index), VarNodeListBytes);
   }
   return NodeId(Index);
 }
@@ -222,66 +237,68 @@ void Solver::propagate(NodeId N, ValueId V) {
 }
 
 void Solver::addEdge(NodeId From, NodeId To, TypeId Filter) {
-  // Edge lists mutate only in the merge, so this only appends. The next
-  // merge folds the tail in (dropping repeats) before the phase stages
+  // Edge lists mutate only in the merge, so this only queues the edge. The
+  // next merge folds it in (dropping repeats) before the phase stages
   // From's next delta along it; the next gather sends the set From holds
   // by then, which covers everything the delta misses.
-  std::vector<Edge> &List = Edges[From.index()];
   Shard &FromShard = Shards[shardOf(From)];
-  if (List.size() == EdgesSorted[From.index()])
-    FromShard.DirtyEdges.push_back(From.index());
-  FromShard.EdgeBytes -= capacityBytes(List);
-  List.push_back({To, Filter});
-  FromShard.EdgeBytes += capacityBytes(List);
-  if (!PointsTo[From.index()].empty())
+  if (Filter.isValid())
+    FromShard.PendingFiltered.push_back({From.index(), To.index(), Filter});
+  else
+    FromShard.PendingEdges.push_back(packPair(From.index(), To.index()));
+  if (Nodes[From.index()].SetLen != 0)
     Shards[shardOf(To)].Replays.push_back(
         {To.index(), ReplayShard, From.index(), Filter});
 }
 
 void Solver::addReaction(NodeId N, Reaction R) {
-  std::vector<Reaction> &List = Reactions[N.index()];
-  ReactionBytes -= capacityBytes(List);
-  List.push_back(R);
-  ReactionBytes += capacityBytes(List);
-  // Reactions intern nodes, which reallocates the per-node tables but not
-  // the set's own buffer, and the set cannot change before the next merge,
-  // so the view stays valid throughout.
+  Shard &S = Shards[shardOf(N)];
+  const ListGrowth One[] = {{N.index(), 1}};
+  growLists(S.ReactionPool, S.ReactionDead, &Node::Reactions, shardOf(N), One);
+  const ListRef L = Nodes[N.index()].Reactions;
+  S.ReactionPool[L.Begin + L.Size - 1] = R;
+  // Reactions intern nodes, which reallocates the node records but not the
+  // set's own buffer, and the set cannot change before the next merge, so
+  // the view stays valid throughout.
   pointsTo(N).forEach([&](uint32_t V) { applyReaction(R, ValueId(V)); });
 }
 
-void Solver::applyReaction(const Reaction &R, ValueId V) {
-  const Statement &S = *R.Stmt;
-  switch (R.RKind) {
-  case Reaction::Kind::LoadBase:
-    addEdge(fieldNode(V, S.FieldRef), varNode(S.Dst, R.Ctx));
+void Solver::applyReaction(Reaction R, ValueId V) {
+  const CMethod Caller = CMethods[R.CallerCM.index()];
+  const Statement &S = P.method(Caller.M).Statements[R.Stmt];
+  switch (S.Op) {
+  case Opcode::Load:
+    addEdge(fieldNode(V, S.FieldRef), varNode(S.Dst, Caller.Ctx));
     return;
-  case Reaction::Kind::StoreBase:
-    addEdge(varNode(S.Src, R.Ctx), fieldNode(V, S.FieldRef));
+  case Opcode::Store:
+    addEdge(varNode(S.Src, Caller.Ctx), fieldNode(V, S.FieldRef));
     return;
-  case Reaction::Kind::ArrayLoadBase:
-    addEdge(arrayNode(V), varNode(S.Dst, R.Ctx));
+  case Opcode::ArrayLoad:
+    addEdge(arrayNode(V), varNode(S.Dst, Caller.Ctx));
     return;
-  case Reaction::Kind::ArrayStoreBase:
-    addEdge(varNode(S.Src, R.Ctx), arrayNode(V));
+  case Opcode::ArrayStore:
+    addEdge(varNode(S.Src, Caller.Ctx), arrayNode(V));
     return;
-  case Reaction::Kind::VirtualCall: {
+  case Opcode::VirtualCall: {
     MethodId Target = P.resolveVirtual(valueType(V), S.CalleeSignature);
     if (!Target.isValid())
       return; // no concrete implementation on this receiver type
     CtxId CalleeCtx = Ctxs.appendAndTruncate(valueHeapCtx(V), valueSiteId(V),
                                              Config.ContextDepth);
-    wireCall(S, R.Ctx, R.CallerCM, Target, CalleeCtx, V);
+    wireCall(S, Caller.Ctx, R.CallerCM, Target, CalleeCtx, V);
     return;
   }
-  case Reaction::Kind::SpecialCall: {
+  case Opcode::SpecialCall: {
     // Fixed target, but the callee context is still derived from the
     // receiver object (object sensitivity analyzes constructors under the
     // allocated object's context).
     CtxId CalleeCtx = Ctxs.appendAndTruncate(valueHeapCtx(V), valueSiteId(V),
                                              Config.ContextDepth);
-    wireCall(S, R.Ctx, R.CallerCM, S.DirectCallee, CalleeCtx, V);
+    wireCall(S, Caller.Ctx, R.CallerCM, S.DirectCallee, CalleeCtx, V);
     return;
   }
+  default:
+    return; // processBody attaches reactions to the six opcodes above only
   }
 }
 
@@ -317,7 +334,9 @@ void Solver::processBody(CMethodId CM) {
   CtxId Ctx = CMethods[CM.index()].Ctx;
   const Method &M = P.method(MId);
 
-  for (const Statement &S : M.Statements) {
+  for (uint32_t I = 0, E = static_cast<uint32_t>(M.Statements.size());
+       I != E; ++I) {
+    const Statement &S = M.Statements[I];
     switch (S.Op) {
     case Opcode::Alloc:
     case Opcode::StringConst: {
@@ -336,38 +355,22 @@ void Solver::processBody(CMethodId CM) {
       if (Inserted)
         Casts.push_back(
             {S.TypeRef, P.type(M.DeclaringType).IsApplication, {}});
-      Casts[It->second].SourceNodes.push_back(SrcNode);
+      pushCounted(Casts[It->second].SourceNodes, SrcNode, CastNodeListBytes);
       break;
     }
     case Opcode::Load:
-      addReaction(varNode(S.Base, Ctx),
-                  {Reaction::Kind::LoadBase, &S, Ctx, CM});
-      break;
     case Opcode::Store:
-      addReaction(varNode(S.Base, Ctx),
-                  {Reaction::Kind::StoreBase, &S, Ctx, CM});
-      break;
     case Opcode::ArrayLoad:
-      addReaction(varNode(S.Base, Ctx),
-                  {Reaction::Kind::ArrayLoadBase, &S, Ctx, CM});
-      break;
     case Opcode::ArrayStore:
-      addReaction(varNode(S.Base, Ctx),
-                  {Reaction::Kind::ArrayStoreBase, &S, Ctx, CM});
+    case Opcode::VirtualCall:
+    case Opcode::SpecialCall:
+      addReaction(varNode(S.Base, Ctx), {CM, I});
       break;
     case Opcode::StaticLoad:
       addEdge(staticNode(S.FieldRef), varNode(S.Dst, Ctx));
       break;
     case Opcode::StaticStore:
       addEdge(varNode(S.Src, Ctx), staticNode(S.FieldRef));
-      break;
-    case Opcode::VirtualCall:
-      addReaction(varNode(S.Base, Ctx),
-                  {Reaction::Kind::VirtualCall, &S, Ctx, CM});
-      break;
-    case Opcode::SpecialCall:
-      addReaction(varNode(S.Base, Ctx),
-                  {Reaction::Kind::SpecialCall, &S, Ctx, CM});
       break;
     case Opcode::StaticCall:
       // Static calls inherit the caller's context (Doop's default).
@@ -433,58 +436,117 @@ void Solver::seedObjectField(ValueId Base, FieldId F, ValueId V) {
 
 void Solver::unionIntoSet(uint32_t NIdx, const uint32_t *New, uint32_t Add) {
   // The form is a function of the contents alone — dense iff the array
-  // would be longer than the bitmap — so equal sets are stored alike.
-  std::vector<uint32_t> &Raw = PointsTo[NIdx];
+  // would be longer than the bitmap — so equal sets are stored alike. The
+  // buffer always holds exactly `SetLen` words: geometric slack would undo
+  // much of what the bitmap saves.
   Node &N = Nodes[NIdx];
-  const SetView Old = pointsTo(NodeId(NIdx));
+  const SetView Old = setOf(N);
+  const uint32_t OldLen = N.SetLen;
   const size_t Size = Old.size() + Add;
   uint32_t LastWord = New[Add - 1] >> 5;
   if (N.Dense)
-    LastWord = std::max(LastWord, static_cast<uint32_t>(Raw.size() - 2));
-  else if (!Raw.empty())
-    LastWord = std::max(LastWord, Raw.back() >> 5);
+    LastWord = std::max(LastWord, OldLen - 2);
+  else if (OldLen != 0)
+    LastWord = std::max(LastWord, N.Set[OldLen - 1] >> 5);
   const bool Dense = Size > size_t(LastWord) + 1;
 
   if (!Dense && !N.Dense) {
-    unionFromBack(Raw, New, Add, std::less<uint32_t>());
+    resizeWords(N.Set, Size);
+    N.SetLen = static_cast<uint32_t>(Size);
+    unionFromBack(N.Set.get(), OldLen, New, Add, std::less<uint32_t>());
     return;
   }
   if (Dense && N.Dense) {
-    // Grow to exactly the words needed; geometric slack would undo much
-    // of what the bitmap saves.
-    if (Raw.size() < size_t(LastWord) + 2) {
-      Raw.reserve(size_t(LastWord) + 2);
-      Raw.resize(size_t(LastWord) + 2, 0);
+    if (OldLen < LastWord + 2) {
+      resizeWords(N.Set, size_t(LastWord) + 2);
+      std::fill(N.Set.get() + OldLen, N.Set.get() + LastWord + 2, 0u);
+      N.SetLen = LastWord + 2;
     }
     for (uint32_t I = 0; I != Add; ++I)
-      Raw[1 + (New[I] >> 5)] |= uint32_t(1) << (New[I] & 31);
-    Raw[0] += Add;
+      N.Set[1 + (New[I] >> 5)] |= uint32_t(1) << (New[I] & 31);
+    N.Set[0] += Add;
     return;
   }
   // The form changes: rebuild the set in the other form.
-  std::vector<uint32_t> Rebuilt;
+  const size_t Len = Dense ? size_t(LastWord) + 2 : Size;
+  std::unique_ptr<uint32_t[], FreeWords> Rebuilt(
+      static_cast<uint32_t *>(std::calloc(Len, sizeof(uint32_t))));
+  if (!Rebuilt)
+    throw std::bad_alloc();
+  uint32_t *Words = Rebuilt.get();
   if (Dense) {
-    Rebuilt.assign(size_t(LastWord) + 2, 0);
-    Rebuilt[0] = static_cast<uint32_t>(Size);
-    auto SetBit = [&Rebuilt](uint32_t V) {
-      Rebuilt[1 + (V >> 5)] |= uint32_t(1) << (V & 31);
+    Words[0] = static_cast<uint32_t>(Size);
+    auto SetBit = [Words](uint32_t V) {
+      Words[1 + (V >> 5)] |= uint32_t(1) << (V & 31);
     };
     Old.forEach(SetBit);
     std::for_each(New, New + Add, SetBit);
   } else {
     // A bitmap that received a value far past its last word.
-    Rebuilt.reserve(Size);
-    Old.forEach([&Rebuilt](uint32_t V) { Rebuilt.push_back(V); });
-    unionFromBack(Rebuilt, New, Add, std::less<uint32_t>());
+    size_t Filled = 0;
+    Old.forEach([&](uint32_t V) { Words[Filled++] = V; });
+    unionFromBack(Words, Filled, New, Add, std::less<uint32_t>());
   }
-  Raw.swap(Rebuilt);
+  N.Set = std::move(Rebuilt);
+  N.SetLen = static_cast<uint32_t>(Len);
   N.Dense = Dense;
 }
 
+template <typename T>
+void Solver::growLists(std::vector<T> &Pool, uint32_t &Dead,
+                       ListRef Node::*Field, uint32_t ShardIndex,
+                       std::span<const ListGrowth> Growth) {
+  size_t Room = 0, Added = 0;
+  for (const ListGrowth &G : Growth) {
+    Room += (Nodes[G.Node].*Field).Size + G.Add;
+    Added += G.Add;
+  }
+  if (Pool.size() + Room > Pool.capacity()) {
+    // Compact, with room for a quarter of the live entries again. This is
+    // the only time a pool reallocates, so its dead entries never outnumber
+    // a quarter of the live ones and its capacity stays within 1.25x of
+    // them. Laying out all of a merge's growth here compacts a pool at most
+    // once per merge.
+    const size_t Live = Pool.size() - Dead + Added;
+    std::vector<T> Fresh;
+    Fresh.reserve(Live + Live / 4);
+    const ListGrowth *G = Growth.data(), *End = G + Growth.size();
+    for (uint32_t I = ShardIndex; I < Nodes.size(); I += NumShards) {
+      ListRef &R = Nodes[I].*Field;
+      const uint32_t Begin = static_cast<uint32_t>(Fresh.size());
+      Fresh.insert(Fresh.end(), Pool.begin() + R.Begin,
+                   Pool.begin() + R.Begin + R.Size);
+      R.Begin = Begin;
+      if (G != End && G->Node == I) {
+        Fresh.resize(Fresh.size() + G->Add); // within capacity
+        R.Size += G->Add;
+        ++G;
+      }
+    }
+    Pool.swap(Fresh);
+    Dead = 0;
+    return;
+  }
+  for (const ListGrowth &G : Growth) {
+    ListRef &L = Nodes[G.Node].*Field;
+    // Within capacity (checked above): no reallocation.
+    if (size_t(L.Begin) + L.Size != Pool.size()) {
+      const uint32_t Begin = static_cast<uint32_t>(Pool.size());
+      Pool.resize(Begin + L.Size);
+      std::copy_n(Pool.begin() + L.Begin, L.Size, Pool.begin() + Begin);
+      Dead += L.Size;
+      L.Begin = Begin;
+    }
+    Pool.resize(Pool.size() + G.Add);
+    L.Size += G.Add;
+  }
+}
+
 void Solver::mergeShard(uint32_t ShardIndex) {
-  // Only this task touches the shard's incoming buffer, deltas, byte
-  // counts, and the sets (and form flags) of its nodes, so concurrent
-  // merges cannot race. The outcome
+  // Only this task touches the shard's incoming and pending-edge buffers,
+  // deltas, byte counts and edge pool, and the sets (with their form
+  // flags) and edge handles of its nodes, so concurrent merges cannot
+  // race. The outcome
   // depends only on the incoming *multiset*, never on its order. Every
   // appender checked membership, and sets change only here, so after
   // dedup each incoming value is new: a node's run is its delta.
@@ -502,59 +564,114 @@ void Solver::mergeShard(uint32_t ShardIndex) {
     const uint32_t Size =
         static_cast<uint32_t>(S.DeltaValues.size()) - Begin;
     S.Deltas.push_back({NodeId(NIdx), Begin, Size});
-    const std::vector<uint32_t> &Set = PointsTo[NIdx];
-    S.SetBytes[Nodes[NIdx].Dense] -= capacityBytes(Set);
+    const Node &N = Nodes[NIdx];
+    S.SetBytes[N.Dense] -= uint64_t(N.SetLen) * sizeof(uint32_t);
     unionIntoSet(NIdx, S.DeltaValues.data() + Begin, Size);
-    S.SetBytes[Nodes[NIdx].Dense] += capacityBytes(Set);
+    S.SetBytes[N.Dense] += uint64_t(N.SetLen) * sizeof(uint32_t);
   }
   // Release rather than clear: shards peak in different rounds, and kept
   // capacities would add up across all 64 of them.
   std::vector<uint64_t>().swap(In);
   S.TotalItems += S.DeltaValues.size();
+  mergeEdges(ShardIndex);
+}
 
-  // Edge tails: keep each edge once, whether it repeats within the tail or
-  // is already in the sorted prefix. The survivors are the new edges.
-  auto EdgeLess = [](const Edge &A, const Edge &B) {
-    return packPair(A.Target.rawValue(), A.Filter.rawValue()) <
-           packPair(B.Target.rawValue(), B.Filter.rawValue());
-  };
-  S.NewEdges = 0;
-  for (uint32_t NIdx : S.DirtyEdges) {
-    std::vector<Edge> &List = Edges[NIdx];
-    S.EdgeBytes -= capacityBytes(List);
-    const auto Prefix = List.begin() + EdgesSorted[NIdx];
-    std::sort(Prefix, List.end(), EdgeLess);
-    S.EdgeTail.clear();
-    for (auto It = Prefix; It != List.end(); ++It)
-      if ((S.EdgeTail.empty() || EdgeLess(S.EdgeTail.back(), *It)) &&
-          !std::binary_search(List.begin(), Prefix, *It, EdgeLess))
-        S.EdgeTail.push_back(*It);
-    List.erase(Prefix, List.end());
-    unionFromBack(List, S.EdgeTail.data(), S.EdgeTail.size(), EdgeLess);
-    EdgesSorted[NIdx] = static_cast<uint32_t>(List.size());
-    S.EdgeBytes += capacityBytes(List);
-    S.NewEdges += S.EdgeTail.size();
+void Solver::mergeEdges(uint32_t ShardIndex) {
+  Shard &S = Shards[ShardIndex];
+  // Keep each pending edge once, whether it repeats among the pending
+  // edges or is already in its source's list. The survivors are the new
+  // edges.
+  std::vector<uint64_t> &Pending = S.PendingEdges;
+  std::sort(Pending.begin(), Pending.end());
+  Pending.erase(std::unique(Pending.begin(), Pending.end()), Pending.end());
+  S.Growth.clear();
+  S.NewTargets.clear();
+  for (size_t I = 0, E = Pending.size(); I != E;) {
+    const uint32_t Source = static_cast<uint32_t>(Pending[I] >> 32);
+    const ListRef Old = Nodes[Source].Edges;
+    const uint32_t *List = S.EdgePool.data() + Old.Begin;
+    const size_t Before = S.NewTargets.size();
+    for (; I != E && static_cast<uint32_t>(Pending[I] >> 32) == Source; ++I)
+      if (!std::binary_search(List, List + Old.Size,
+                              static_cast<uint32_t>(Pending[I])))
+        S.NewTargets.push_back(static_cast<uint32_t>(Pending[I]));
+    if (S.NewTargets.size() != Before)
+      S.Growth.push_back(
+          {Source, static_cast<uint32_t>(S.NewTargets.size() - Before)});
   }
-  S.DirtyEdges.clear();
+  std::vector<uint64_t>().swap(Pending);
+  growLists(S.EdgePool, S.EdgeDead, &Node::Edges, ShardIndex, S.Growth);
+  const uint32_t *Targets = S.NewTargets.data();
+  for (const ListGrowth &G : S.Growth) {
+    const ListRef L = Nodes[G.Node].Edges;
+    unionFromBack(S.EdgePool.data() + L.Begin, L.Size - G.Add, Targets,
+                  G.Add, std::less<uint32_t>());
+    Targets += G.Add;
+  }
+  S.NewEdges = S.NewTargets.size();
+
+  // Filtered edges likewise, against the shard's sorted side list.
+  std::vector<FilteredEdge> &New = S.PendingFiltered;
+  auto Key = [](const FilteredEdge &F) {
+    return std::tie(F.Source, F.Target, F.Filter);
+  };
+  auto Less = [&](const FilteredEdge &A, const FilteredEdge &B) {
+    return Key(A) < Key(B);
+  };
+  std::sort(New.begin(), New.end(), Less);
+  New.erase(std::unique(New.begin(), New.end(),
+                        [&](const FilteredEdge &A, const FilteredEdge &B) {
+                          return Key(A) == Key(B);
+                        }),
+            New.end());
+  std::erase_if(New, [&](const FilteredEdge &F) {
+    return std::binary_search(S.Filtered.begin(), S.Filtered.end(), F, Less);
+  });
+  const size_t Old = S.Filtered.size();
+  S.Filtered.resize(Old + New.size());
+  unionFromBack(S.Filtered.data(), Old, New.data(), New.size(), Less);
+  S.NewEdges += New.size();
+  std::vector<FilteredEdge>().swap(New);
 }
 
 void Solver::phaseShard(uint32_t ShardIndex) {
   // Read-only over the frozen solver state: sets, edges, reactions and
   // nodes change only in the merge and at the barrier. Staging is
-  // source-shard-local.
+  // source-shard-local: one vector, grouped by target shard with a
+  // counting pass, so the gathers read contiguous slices.
   Shard &S = Shards[ShardIndex];
-  S.StagedMask = 0;
+  auto ForEachRef = [&](auto &&Fn) {
+    for (uint32_t D = 0, E = static_cast<uint32_t>(S.Deltas.size()); D != E;
+         ++D) {
+      const uint32_t NIdx = S.Deltas[D].N.index();
+      const ListRef Out = Nodes[NIdx].Edges;
+      for (uint32_t I = Out.Begin, End = Out.Begin + Out.Size; I != End; ++I)
+        Fn(StagedRef{S.EdgePool[I], ShardIndex, D, TypeId::invalid()});
+      if (S.Filtered.empty())
+        continue;
+      auto It = std::lower_bound(
+          S.Filtered.begin(), S.Filtered.end(), NIdx,
+          [](const FilteredEdge &F, uint32_t N) { return F.Source < N; });
+      for (; It != S.Filtered.end() && It->Source == NIdx; ++It)
+        Fn(StagedRef{It->Target, ShardIndex, D, It->Filter});
+    }
+  };
+  std::array<uint32_t, NumShards + 1> &Begin = S.StagedBegin;
+  Begin.fill(0);
+  ForEachRef([&](const StagedRef &R) { ++Begin[shardOf(R.Target) + 1]; });
+  for (uint32_t T = 0; T != NumShards; ++T)
+    Begin[T + 1] += Begin[T];
+  S.Staged.resize(Begin[NumShards]);
+  std::array<uint32_t, NumShards> Next;
+  std::copy_n(Begin.begin(), NumShards, Next.begin());
+  ForEachRef(
+      [&](const StagedRef &R) { S.Staged[Next[shardOf(R.Target)]++] = R; });
+
   for (uint32_t D = 0, E = static_cast<uint32_t>(S.Deltas.size()); D != E;
        ++D) {
-    const uint32_t NIdx = S.Deltas[D].N.index();
-    for (const Edge &Out : Edges[NIdx]) {
-      S.StagedRefs[shardOf(Out.Target)].push_back(
-          {Out.Target.index(), ShardIndex, D, Out.Filter});
-      S.StagedMask |= uint64_t(1) << shardOf(Out.Target);
-    }
-    const uint32_t Count = static_cast<uint32_t>(Reactions[NIdx].size());
-    if (Count != 0 || Nodes[NIdx].Kind == NodeKind::CatchDispatch)
-      S.Firings.push_back({D, Count});
+    const Node &N = Nodes[S.Deltas[D].N.index()];
+    if (N.Reactions.Size != 0 || N.Kind == NodeKind::CatchDispatch)
+      S.Firings.push_back({D, N.Reactions.Size});
   }
 }
 
@@ -567,13 +684,9 @@ void Solver::gatherShard(uint32_t ShardIndex) {
   Shard &T = Shards[ShardIndex];
   std::vector<StagedRef> Refs;
   Refs.swap(T.Replays);
-  for (Shard &Src : Shards) {
-    if (!(Src.StagedMask >> ShardIndex & 1))
-      continue;
-    std::vector<StagedRef> &Bucket = Src.StagedRefs[ShardIndex];
-    Refs.insert(Refs.end(), Bucket.begin(), Bucket.end());
-    Bucket.clear();
-  }
+  for (const Shard &Src : Shards)
+    Refs.insert(Refs.end(), Src.Staged.begin() + Src.StagedBegin[ShardIndex],
+                Src.Staged.begin() + Src.StagedBegin[ShardIndex + 1]);
   std::sort(Refs.begin(), Refs.end(),
             [](const StagedRef &A, const StagedRef &B) {
               return A.Target < B.Target;
@@ -612,8 +725,10 @@ void Solver::applyBarrier() {
       const Delta D = S.Deltas[F.Source];
       const uint32_t *Values = S.DeltaValues.data() + D.Begin;
       for (uint32_t R = 0; R != F.Reactions; ++R) {
-        // Copy: firing may add reactions to this node and reallocate.
-        const Reaction Fired = Reactions[D.N.index()][R];
+        // Re-read through the handle: firing may add reactions to this
+        // shard's nodes, which can move this node's list.
+        const Reaction Fired =
+            S.ReactionPool[Nodes[D.N.index()].Reactions.Begin + R];
         for (uint32_t I = 0; I != D.Size; ++I)
           applyReaction(Fired, ValueId(Values[I]));
         SolverStats.ReactionsRun += D.Size;
@@ -628,7 +743,8 @@ void Solver::applyBarrier() {
 
 bool Solver::hasPendingWork() const {
   for (const Shard &S : Shards)
-    if (!S.Incoming.empty() || !S.Replays.empty() || !S.DirtyEdges.empty())
+    if (!S.Incoming.empty() || !S.Replays.empty() ||
+        !S.PendingEdges.empty() || !S.PendingFiltered.empty())
       return true;
   return false;
 }
@@ -641,7 +757,7 @@ void Solver::drainWorklist() {
     Seconds += std::chrono::duration<double>(Clock::now() - Start).count();
   };
   while (hasPendingWork()) {
-    // Dirty edge tails are cheap to fold, so only values and replay refs
+    // Pending edges are cheap to fold, so only values and replay refs
     // count toward the threshold.
     size_t Items = 0;
     for (const Shard &S : Shards)
@@ -686,13 +802,15 @@ void Solver::drainWorklist() {
 void Solver::releaseRoundArenas() {
   for (Shard &S : Shards) {
     release(S.Incoming);
-    release(S.DirtyEdges);
+    release(S.PendingEdges);
+    release(S.PendingFiltered);
     release(S.Replays);
-    release(S.EdgeTail);
     release(S.Deltas);
     release(S.DeltaValues);
-    for (std::vector<StagedRef> &Bucket : S.StagedRefs)
-      release(Bucket);
+    release(S.Growth);
+    release(S.NewTargets);
+    release(S.Staged);
+    S.StagedBegin.fill(0);
     release(S.Firings);
   }
 }
@@ -730,32 +848,43 @@ void Solver::publishMetrics() {
   for (const Shard &S : Shards)
     Registry->observe("pointsto.shard.work_items",
                       static_cast<double>(S.TotalItems));
-  // Owned bytes, from capacities (sets, edge and reaction lists are
-  // counted as they grow). Every buffer grows along the fixpoint
+  // Owned bytes, from capacities and hash bucket counts (sets and the
+  // per-variable and per-cast node lists are counted as they grow, so
+  // publishing walks no node). Every buffer grows along the fixpoint
   // trajectory, so these are thread-count-invariant too.
-  uint64_t SetsArray = 0, SetsDense = 0, EdgeBytes = 0, ArenaBytes = 0;
+  uint64_t SetsArray = 0, SetsDense = 0, EdgeBytes = 0, ReactionBytes = 0,
+           ArenaBytes = 0;
   for (const Shard &S : Shards) {
     SetsArray += S.SetBytes[0];
     SetsDense += S.SetBytes[1];
-    EdgeBytes += S.EdgeBytes;
-    ArenaBytes += capacityBytes(S.Incoming) + capacityBytes(S.DirtyEdges) +
-                  capacityBytes(S.Replays) + capacityBytes(S.EdgeTail) +
+    EdgeBytes += capacityBytes(S.EdgePool) + capacityBytes(S.Filtered);
+    ReactionBytes += capacityBytes(S.ReactionPool);
+    ArenaBytes += capacityBytes(S.Incoming) + capacityBytes(S.PendingEdges) +
+                  capacityBytes(S.PendingFiltered) + capacityBytes(S.Replays) +
                   capacityBytes(S.Deltas) + capacityBytes(S.DeltaValues) +
-                  capacityBytes(S.Firings);
-    for (const std::vector<StagedRef> &Bucket : S.StagedRefs)
-      ArenaBytes += capacityBytes(Bucket);
+                  capacityBytes(S.Growth) + capacityBytes(S.NewTargets) +
+                  capacityBytes(S.Staged) + capacityBytes(S.Firings);
   }
-  Registry->set("pointsto.bytes.sets_array", static_cast<double>(SetsArray));
-  Registry->set("pointsto.bytes.sets_dense", static_cast<double>(SetsDense));
-  Registry->set("pointsto.bytes.edges", static_cast<double>(EdgeBytes));
-  Registry->set("pointsto.bytes.nodes",
-                static_cast<double>(
-                    capacityBytes(Nodes) + capacityBytes(NodeSlots) +
-                    capacityBytes(PointsTo) + capacityBytes(Edges) +
-                    capacityBytes(EdgesSorted) + capacityBytes(Reactions) +
-                    ReactionBytes));
-  Registry->set("pointsto.bytes.round_arenas",
-                static_cast<double>(ArenaBytes));
+  auto Gauge = [this](const char *Name, uint64_t Bytes) {
+    Registry->set(Name, static_cast<double>(Bytes));
+  };
+  Gauge("pointsto.bytes.sets_array", SetsArray);
+  Gauge("pointsto.bytes.sets_dense", SetsDense);
+  Gauge("pointsto.bytes.edges", EdgeBytes);
+  Gauge("pointsto.bytes.nodes", capacityBytes(Nodes) +
+                                    capacityBytes(NodeSlots) + ReactionBytes);
+  Gauge("pointsto.bytes.round_arenas", ArenaBytes);
+  Gauge("pointsto.bytes.values",
+        capacityBytes(Values) + hashTableBytes(ValueLookup));
+  Gauge("pointsto.bytes.cmethods",
+        capacityBytes(CMethods) + hashTableBytes(CMethodLookup));
+  Gauge("pointsto.bytes.var_nodes",
+        capacityBytes(VarNodes) + VarNodeListBytes);
+  Gauge("pointsto.bytes.casts", capacityBytes(Casts) + CastNodeListBytes +
+                                    hashTableBytes(CastIndex));
+  Gauge("pointsto.bytes.call_graph", ReachableSet.bytes() + CallEdges.bytes() +
+                                         MethodReached.capacity() / 8);
+  Gauge("pointsto.bytes.contexts", Ctxs.bytes());
   // Scheduling-dependent samples (vary with Threads and the OS scheduler;
   // cross-thread-count diffs must filter these).
   Registry->set("pointsto.sched.threads", Config.Threads);

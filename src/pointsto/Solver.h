@@ -40,17 +40,17 @@
 ///
 /// The drain is *sharded, bulk-synchronous difference propagation*
 /// (DESIGN.md §11). Values bound for a node first land in its shard's
-/// incoming buffer; a new edge lands in its source's unsorted edge tail
-/// and, if the source already holds values, as a whole-set replay ref in
-/// its target's shard.
+/// incoming buffer; a new edge lands in its source shard's pending-edge
+/// buffer and, if the source already holds values, as a whole-set replay
+/// ref in its target's shard.
 /// Each round then runs four steps:
 ///
 ///   1. merge   (parallel per target shard): sort and unique each node's
 ///              incoming values — every appender already dropped values the
 ///              set holds — making them the node's delta, and union them
 ///              into the set, switching its form if the rule above says
-///              so; sort each dirty edge tail, drop the edges the
-///              list already has, and union the rest into the list;
+///              so; sort the shard's pending edges, drop the ones the
+///              lists already hold, and union the rest into the lists;
 ///   2. phase   (parallel per source shard): walk the deltas, staging one
 ///              (target, source delta, filter) reference per edge plus the
 ///              reaction and catch firings;
@@ -61,9 +61,13 @@
 ///   4. barrier (sequential, canonical shard order): apply the reactions and
 ///              catch dispatches (call wiring, body processing, interning).
 ///
-/// Sets and edge lists mutate only in the merge step; everything else —
-/// the barrier, plugins and seeds — only appends: incoming values, edge
-/// tails and replay refs. The shard count is a constant, independent of
+/// A node is one 40-byte record: its interning key, its set (an exact-size
+/// buffer of its own), and two (begin, size) handles into its shard's pools
+/// — one of unfiltered edge targets, one of reactions. The few cast-filtered
+/// edges sit in a per-shard side list sorted by source. Sets and edge pools
+/// mutate only in the merge, reaction pools only at the barrier and while
+/// seeding; everything else only appends: incoming values, pending edges
+/// and replay refs. The shard count is a constant, independent of
 /// `SolverConfig::Threads`, sets and edge lists are sort-canonical, a set's
 /// form is a function of its contents, and interning happens only at the
 /// barrier, so the fixpoint — points-to sets,
@@ -90,8 +94,10 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstdlib>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -131,7 +137,7 @@ class Solver;
 /// A read-only view of one node's points-to set: the value ids (raw
 /// `ValueId` indexes) in strictly ascending order, whichever form the set
 /// is stored in. It holds the set's own data pointer, not a reference into
-/// the solver's per-node table, so it stays valid while the solver interns
+/// the solver's node records, so it stays valid while the solver interns
 /// nodes; it is invalidated by the next merge (`solve()`). Never allocates.
 class SetView {
 public:
@@ -290,11 +296,16 @@ public:
   /// `pointsto.sched.*` samples, among them the wall seconds each round
   /// step took, summed over rounds (`pointsto.sched.merge_s`, `.phase_s`,
   /// `.gather_s`, `.barrier_s`). The `pointsto.bytes.*` gauges are the
-  /// bytes the solver owns, from capacities: array sets (`sets_array`),
-  /// bitmap sets (`sets_dense`), edge lists (`edges`), the per-node tables
-  /// and reaction lists (`nodes`), and the round arenas (`round_arenas`,
-  /// 0 once `solve()` returns). They follow the fixpoint trajectory, so
-  /// they too are thread-count-invariant.
+  /// bytes the solver owns, from capacities and hash bucket counts: array
+  /// sets (`sets_array`), bitmap sets (`sets_dense`), the edge pools and
+  /// filtered-edge lists (`edges`), the node records, node hash slots and
+  /// reaction pools (`nodes`), the round arenas (`round_arenas`, 0 once
+  /// `solve()` returns), interned values (`values`), context-qualified
+  /// methods (`cmethods`), each variable's context instances
+  /// (`var_nodes`), cast records (`casts`), the reachable set, call edges
+  /// and reached-method bits (`call_graph`), and the context table
+  /// (`contexts`). They follow the fixpoint trajectory, so they too are
+  /// thread-count-invariant.
   void setMetricsRegistry(observe::MetricsRegistry *R) { Registry = R; }
 
   // --- Seeding (used by drivers and the framework layer) -----------------
@@ -344,14 +355,7 @@ public:
   uint32_t nodeCount() const { return static_cast<uint32_t>(Nodes.size()); }
 
   /// Points-to set of one node: ValueId raw indexes, strictly ascending.
-  SetView pointsTo(NodeId N) const {
-    const std::vector<uint32_t> &Raw = PointsTo[N.index()];
-    if (!Nodes[N.index()].Dense)
-      return SetView(Raw.data(), static_cast<uint32_t>(Raw.size()),
-                     static_cast<uint32_t>(Raw.size()), false);
-    return SetView(Raw.data() + 1, static_cast<uint32_t>(Raw.size() - 1),
-                   Raw[0], true);
-  }
+  SetView pointsTo(NodeId N) const { return setOf(Nodes[N.index()]); }
 
   /// Context-insensitive projection: distinct allocation sites pointed to by
   /// any context instance of \p Var, sorted by site id (canonical order, so
@@ -439,34 +443,59 @@ private:
     CatchDispatch, ///< (CMethodId) — thrown values awaiting catch routing
   };
 
+  /// A node's list in one of its shard's pools: `Size` entries from
+  /// `Begin`.
+  struct ListRef {
+    uint32_t Begin = 0;
+    uint32_t Size = 0;
+  };
+  /// Node `Node`'s list is to grow by `Add` entries.
+  struct ListGrowth {
+    uint32_t Node;
+    uint32_t Add;
+  };
+
+  struct FreeWords {
+    void operator()(uint32_t *Words) const { std::free(Words); }
+  };
+
+  /// Everything the solver keeps per node, in one 40-byte record.
   struct Node {
+    Node(NodeKind Kind, uint32_t A, uint32_t B) : Kind(Kind), A(A), B(B) {}
+
     NodeKind Kind;
     /// The set is a bitmap, not an array. Sits in what would be padding.
     bool Dense = false;
     uint32_t A = 0; ///< kind-dependent payload
     uint32_t B = 0;
+    /// Words in `Set`: the array's values, or the size word plus the bitmap.
+    uint32_t SetLen = 0;
+    /// Sorted unfiltered edge targets in the shard's `EdgePool`.
+    ListRef Edges;
+    /// Reactions in the shard's `ReactionPool`, in the order they were added.
+    ListRef Reactions;
+    /// Exactly `SetLen` words: sorted ValueId raws, or, if `Dense`, the
+    /// set's size followed by its bitmap words (see `setOf`).
+    std::unique_ptr<uint32_t[], FreeWords> Set;
   };
 
-  struct Edge {
-    NodeId Target;
-    ir::TypeId Filter; ///< invalid = unconditional
+  /// A cast-filtered edge. Few edges carry a filter (0.3% on dotCMS/2objH),
+  /// so they sit in a per-shard list sorted by (source, target, filter)
+  /// rather than behind a second handle in every node.
+  struct FilteredEdge {
+    uint32_t Source;
+    uint32_t Target;
+    ir::TypeId Filter;
   };
 
-  /// Deferred behaviors attached to variable nodes, fired per arriving
-  /// object.
+  /// A deferred behavior attached to a base variable's node, fired per
+  /// arriving object: statement `Stmt` of the caller's body — a load, store,
+  /// array load or store, or virtual or special call on that base. The
+  /// statement's opcode says what to do, and the caller context is the
+  /// context-qualified method's own.
   struct Reaction {
-    enum class Kind : uint8_t {
-      LoadBase,      ///< Dst = Base.F
-      StoreBase,     ///< Base.F = Src
-      ArrayLoadBase, ///< Dst = Base[*]
-      ArrayStoreBase,///< Base[*] = Src
-      VirtualCall,   ///< dispatch on arriving receiver
-      SpecialCall,   ///< fixed target, receiver-contextualized
-    };
-    Kind RKind;
-    const ir::Statement *Stmt;
-    CtxId Ctx;          ///< caller context
-    CMethodId CallerCM; ///< for call wiring (exception edges)
+    CMethodId CallerCM;
+    uint32_t Stmt; ///< index into the caller method's `Statements`
   };
 
   // --- Sharded worklist (DESIGN.md §11) -----------------------------------
@@ -477,6 +506,7 @@ private:
   static constexpr uint32_t NumShards = 64;
   static constexpr uint32_t ShardMask = NumShards - 1;
   static uint32_t shardOf(NodeId N) { return N.index() & ShardMask; }
+  static uint32_t shardOf(uint32_t NIdx) { return NIdx & ShardMask; }
 
   /// One node's new values this round: `Size` entries of its shard's
   /// `DeltaValues` arena from `Begin`, sorted.
@@ -505,35 +535,58 @@ private:
   };
 
   /// Per-shard drain state. The merge of shard S writes only S's incoming
-  /// buffer, deltas, dirty list, byte counts, and the sets (with their
-  /// form flags) and edge lists of S's nodes; the phase of S only S's
-  /// staging vectors; the gather of S reads every shard's deltas but
-  /// writes only S's incoming buffer and the refs addressed to S. Deltas
-  /// and staging are round arenas, reused every round and released when
+  /// and pending-edge buffers, deltas, scratch, byte counts, edge pool and
+  /// filtered-edge list, and the sets and edge handles of S's nodes; the
+  /// phase of S only S's staging; the gather of S reads every shard's
+  /// deltas and staged slices but writes only S's incoming buffer. The
+  /// barrier (and seeding) alone writes reaction pools. Deltas, staging and
+  /// scratch are round arenas, reused every round and released when
   /// `solve()` returns.
   struct Shard {
     /// packPair(node, value) bound for this shard's nodes; next merge input.
     std::vector<uint64_t> Incoming;
-    /// This shard's nodes with an unmerged edge tail; next merge input.
-    std::vector<uint32_t> DirtyEdges;
+    /// Edges made from this shard's nodes since the last merge, as
+    /// packPair(source, target) and, for cast-filtered ones, whole; next
+    /// merge input.
+    std::vector<uint64_t> PendingEdges;
+    std::vector<FilteredEdge> PendingFiltered;
     /// Whole-set replays of new edges into this shard's nodes; next gather
     /// input.
     std::vector<StagedRef> Replays;
     std::vector<Delta> Deltas;
     std::vector<uint32_t> DeltaValues;
-    std::vector<Edge> EdgeTail; ///< merge scratch: one node's new edges
-    uint64_t NewEdges = 0;      ///< edges the last merge added
-    std::array<std::vector<StagedRef>, NumShards> StagedRefs;
-    uint64_t StagedMask = 0; ///< bit T: the last phase staged refs for T
+    /// Merge scratch: the lists that grow, in node order, and their new
+    /// edge targets, list after list.
+    std::vector<ListGrowth> Growth;
+    std::vector<uint32_t> NewTargets;
+    uint64_t NewEdges = 0; ///< edges the last merge added
+    /// The last phase's refs, grouped by target shard: the refs for shard T
+    /// are `Staged[StagedBegin[T] .. StagedBegin[T + 1])`.
+    std::vector<StagedRef> Staged;
+    std::array<uint32_t, NumShards + 1> StagedBegin = {};
     std::vector<StagedFiring> Firings;
-    /// Capacity bytes of this shard's nodes' sets, by form (index: the
-    /// node's `Dense` flag), and of their edge lists. Kept current where
-    /// they grow, so publishing them does not walk every node.
+    /// Pools of this shard's nodes' lists. A list that grows moves to the
+    /// pool's end unless it is already last; the entries it leaves are
+    /// dead until `growLists` compacts the pool.
+    std::vector<uint32_t> EdgePool;
+    uint32_t EdgeDead = 0;
+    std::vector<FilteredEdge> Filtered;
+    std::vector<Reaction> ReactionPool;
+    uint32_t ReactionDead = 0;
+    /// Bytes of this shard's nodes' sets, by form (index: the node's
+    /// `Dense` flag). Kept current in the merge, so publishing them does
+    /// not walk every node.
     std::array<uint64_t, 2> SetBytes = {};
-    uint64_t EdgeBytes = 0;
     uint64_t TotalItems = 0; ///< lifetime work items (deterministic)
     uint64_t Steals = 0;     ///< phase tasks run off their home worker
   };
+
+  /// Reads node \p N's set in either form.
+  static SetView setOf(const Node &N) {
+    if (!N.Dense)
+      return SetView(N.Set.get(), N.SetLen, N.SetLen, false);
+    return SetView(N.Set.get() + 1, N.SetLen - 1, N.Set[0], true);
+  }
 
   NodeId internNode(NodeKind Kind, uint32_t A, uint32_t B);
   /// The slot holding node (Kind, A, B), or the empty slot it would take.
@@ -548,21 +601,32 @@ private:
   CMethodId internCMethod(ir::MethodId M, CtxId Ctx);
 
   void propagate(NodeId N, ValueId V);
-  /// Appends the edge to \p From's unsorted tail and, if \p From holds
-  /// values, queues a whole-set replay for the next gather. O(1): the next
-  /// merge drops duplicates and counts the edge.
+  /// Appends the edge to \p From's shard's pending edges and, if \p From
+  /// holds values, queues a whole-set replay for the next gather. O(1): the
+  /// next merge drops duplicates and counts the edge.
   void addEdge(NodeId From, NodeId To, ir::TypeId Filter = ir::TypeId::invalid());
   void addReaction(NodeId N, Reaction R);
-  void applyReaction(const Reaction &R, ValueId V);
+  void applyReaction(Reaction R, ValueId V);
   void dispatchCatch(CMethodId CM, ValueId V);
+
+  /// Grows the lists \p Field of shard \p ShardIndex's nodes in \p Pool,
+  /// their pool, by \p Growth (sorted by node), each by that many entries
+  /// at its end, left for the caller to fill. If the pool has room, each
+  /// list that is not the pool's last moves to its end; otherwise the pool
+  /// is compacted instead — every list in node order, each growing one
+  /// with its room — into a buffer a quarter larger than the live entries.
+  template <typename T>
+  void growLists(std::vector<T> &Pool, uint32_t &Dead, ListRef Node::*Field,
+                 uint32_t ShardIndex, std::span<const ListGrowth> Growth);
 
   /// Unions the sorted run \p New[0, Add), none of whose values node
   /// \p NIdx holds, into its set, and picks the set's form from the result.
   void unionIntoSet(uint32_t NIdx, const uint32_t *New, uint32_t Add);
   /// Round step 1: turns one shard's incoming values into deltas and
-  /// unions them into its nodes' sets, and folds its nodes' edge tails into
-  /// their edge lists — the only place sets and edge lists mutate.
+  /// unions them into its nodes' sets, and folds its pending edges into
+  /// its nodes' edge lists — the only place sets and edge lists mutate.
   void mergeShard(uint32_t ShardIndex);
+  void mergeEdges(uint32_t ShardIndex);
   /// Round step 2: stages one shard's delta edges, reactions and catches.
   /// Read-only over solver state; safe to run concurrently across shards.
   void phaseShard(uint32_t ShardIndex);
@@ -573,7 +637,7 @@ private:
   void applyBarrier();
   void drainWorklist();
   void releaseRoundArenas();
-  /// Any queued incoming values, replay refs or dirty edge tails.
+  /// Any queued incoming values, replay refs or pending edges.
   bool hasPendingWork() const;
   void publishMetrics();
 
@@ -613,19 +677,9 @@ private:
   std::vector<CMethod> CMethods;
   std::unordered_map<uint64_t, uint32_t> CMethodLookup;
 
-  // Per-node state (indexed by NodeId).
-  /// Sorted ValueId raws, or, if the node is `Dense`, the set's size
-  /// followed by its bitmap words (see `pointsTo`).
-  std::vector<std::vector<uint32_t>> PointsTo;
-  /// Out-edges: a prefix sorted by (target, filter) without repeats, then
-  /// an unsorted tail of edges added since the last merge.
-  std::vector<std::vector<Edge>> Edges;
-  std::vector<uint32_t> EdgesSorted; ///< length of each sorted prefix
-  std::vector<std::vector<Reaction>> Reactions;
-  uint64_t ReactionBytes = 0; ///< capacity bytes of the reaction lists
-
   // Var -> its context instances.
   std::vector<std::vector<NodeId>> VarNodes;
+  uint64_t VarNodeListBytes = 0; ///< capacity bytes of the inner vectors
 
   InsertOrderSet<uint32_t> ReachableSet; // CMethodId raw
   std::vector<bool> MethodReached;       // by MethodId
@@ -634,6 +688,7 @@ private:
 
   std::vector<CastRecord> Casts;
   std::unordered_map<const ir::Statement *, uint32_t> CastIndex;
+  uint64_t CastNodeListBytes = 0; ///< capacity bytes of the `SourceNodes`
 
   std::vector<Shard> Shards;
   /// Created lazily on the first round big enough to parallelize.

@@ -130,6 +130,8 @@ public:
       Failed = true;
       return false;
     }
+    if (Count == 0)
+      return true; // an empty vector's `Dst` may be null, invalid for memcpy
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(Dst, Data.data() + Pos, Count * 4);
     } else {

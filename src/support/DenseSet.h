@@ -23,6 +23,13 @@
 
 namespace jackee {
 
+/// Estimated bytes a node-based hash container owns: its bucket array plus
+/// one node (element and next pointer) per element.
+template <typename HashT> size_t hashTableBytes(const HashT &H) {
+  return H.bucket_count() * sizeof(void *) +
+         H.size() * (sizeof(typename HashT::value_type) + sizeof(void *));
+}
+
 /// A set of trivially-copyable values with insertion-ordered iteration.
 ///
 /// Membership is tracked by a hash set; iteration walks the insertion-order
@@ -52,6 +59,11 @@ public:
   const T &operator[](size_t I) const { return Order[I]; }
 
   const std::vector<T> &items() const { return Order; }
+
+  /// Estimated owned bytes: the order vector's capacity plus the hash set.
+  size_t bytes() const {
+    return Order.capacity() * sizeof(T) + hashTableBytes(Members);
+  }
 
   void clear() {
     Members.clear();

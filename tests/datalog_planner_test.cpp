@@ -378,7 +378,7 @@ TEST(PassPruning, EmptyInputsEmitNoPasses) {
   }
 }
 
-TEST(PassPruning, WorkCountersMatchAcrossPlanModesAndThreads) {
+TEST(PassPruning, WorkCountersMatchAcrossPlanModes) {
   constexpr const char *Rules =
       ".decl edge(a: symbol, b: symbol)\n"
       ".decl tiny(c: symbol)\n"

@@ -650,7 +650,7 @@ TEST(DatalogStats, StatsAccumulateMonotonicallyAcrossRuns) {
   EXPECT_GT(Third.TuplesDerived, Second.TuplesDerived);
 }
 
-TEST(PlanInvariance, ContentsAndCountersMatchAcrossPlanModesAndThreads) {
+TEST(PlanInvariance, ContentsAndCountersMatchAcrossPlanModes) {
   // The cost-guided planner may only change how fast the fixpoint is
   // reached: relation contents, rule×delta pass counts, and derived-tuple
   // counts are identical to the textual baseline on both pipeline-shaped

@@ -126,7 +126,7 @@ TEST(TracerTest, MoveTransfersOwnership) {
 // renderStructure: the determinism projection
 //===----------------------------------------------------------------------===//
 
-TEST(RenderStructureTest, SortsSiblingsAndSkipsWorkerSpans) {
+TEST(RenderStructureTest, SortsSiblings) {
   Tracer T;
   {
     Span Root(&T, "root", "session");

@@ -125,6 +125,33 @@ TEST_F(SolverTest, FieldStoreLoadIsObjectSensitive) {
   EXPECT_NE(S->varPointsToSites(R1), S->varPointsToSites(R2));
 }
 
+/// Two loads of different fields on one base in one method: each reaction
+/// names its own statement, so each load reads its own field.
+TEST_F(SolverTest, ReactionsFireTheirOwnStatement) {
+  TypeId Box = P.addClass("Box", TypeKind::Class, Object);
+  TypeId Pay = P.addClass("Pay", TypeKind::Class, Object);
+  FieldId F = P.addField(Box, "f", Object);
+  FieldId G = P.addField(Box, "g", Object);
+
+  MethodBuilder Main =
+      P.addMethod(Box, "main", {}, TypeId::invalid(), /*IsStatic=*/true);
+  VarId B = Main.local("b", Box);
+  VarId PF = Main.local("pf", Pay), PG = Main.local("pg", Pay);
+  VarId RF = Main.local("rf", Object), RG = Main.local("rg", Object);
+  Main.alloc(B, Box)
+      .alloc(PF, Pay)
+      .alloc(PG, Pay)
+      .store(B, F, PF)
+      .store(B, G, PG)
+      .load(RF, B, F)
+      .load(RG, B, G);
+
+  auto S = analyze(Main.id(), 0, 0);
+  EXPECT_EQ(S->varPointsToSites(RF), S->varPointsToSites(PF));
+  EXPECT_EQ(S->varPointsToSites(RG), S->varPointsToSites(PG));
+  EXPECT_NE(S->varPointsToSites(PF), S->varPointsToSites(PG));
+}
+
 TEST_F(SolverTest, VirtualDispatchSelectsOverride) {
   TypeId Base = P.addClass("Base", TypeKind::Class, Object);
   TypeId Der = P.addClass("Der", TypeKind::Class, Base);
@@ -1142,7 +1169,7 @@ TEST(PointsToDenseSet, ReplayFromBitmapThroughCastFilter) {
 }
 
 /// Seeds a new object field for every value of x while iterating x's
-/// bitmap: each seed interns a node and the per-node tables reallocate
+/// bitmap: each seed interns a node and the node records reallocate
 /// under the iteration, which must still see every value once.
 class FieldPerValueSeeder : public Plugin {
 public:
@@ -1222,10 +1249,13 @@ TEST(PointsToDenseSet, EqualAcrossThreadCounts) {
     S->solve();
     return S;
   };
-  const char *Gauges[] = {"pointsto.bytes.sets_array",
-                          "pointsto.bytes.sets_dense", "pointsto.bytes.edges",
-                          "pointsto.bytes.nodes",
-                          "pointsto.bytes.round_arenas"};
+  const char *Gauges[] = {
+      "pointsto.bytes.sets_array", "pointsto.bytes.sets_dense",
+      "pointsto.bytes.edges",      "pointsto.bytes.nodes",
+      "pointsto.bytes.round_arenas", "pointsto.bytes.values",
+      "pointsto.bytes.cmethods",   "pointsto.bytes.var_nodes",
+      "pointsto.bytes.casts",      "pointsto.bytes.call_graph",
+      "pointsto.bytes.contexts"};
   observe::MetricsRegistry BaseRegistry;
   std::unique_ptr<Solver> Base = solveAt(1, BaseRegistry);
   EXPECT_EQ(Base->varPointsToSites(Z).size(), 160u);
@@ -1263,7 +1293,13 @@ TEST(PointsToBytes, GaugesReachMetricsJsonAndArenasAreReleased) {
                           "\"observed.pointsto.bytes.sets_dense\"",
                           "\"observed.pointsto.bytes.edges\"",
                           "\"observed.pointsto.bytes.nodes\"",
-                          "\"observed.pointsto.bytes.round_arenas\""})
+                          "\"observed.pointsto.bytes.round_arenas\"",
+                          "\"observed.pointsto.bytes.values\"",
+                          "\"observed.pointsto.bytes.cmethods\"",
+                          "\"observed.pointsto.bytes.var_nodes\"",
+                          "\"observed.pointsto.bytes.casts\"",
+                          "\"observed.pointsto.bytes.call_graph\"",
+                          "\"observed.pointsto.bytes.contexts\""})
     EXPECT_NE(Json.find(Key), std::string::npos) << "missing " << Key;
   std::map<std::string, double> Observed(Cell->metrics().Observed.begin(),
                                          Cell->metrics().Observed.end());
@@ -1273,6 +1309,167 @@ TEST(PointsToBytes, GaugesReachMetricsJsonAndArenasAreReleased) {
             0);
   EXPECT_GT(Observed.at("pointsto.bytes.edges"), 0);
   EXPECT_GT(Observed.at("pointsto.bytes.nodes"), 0);
+  for (const char *Gauge :
+       {"pointsto.bytes.values", "pointsto.bytes.cmethods",
+        "pointsto.bytes.var_nodes", "pointsto.bytes.call_graph",
+        "pointsto.bytes.contexts"})
+    EXPECT_GT(Observed.at(Gauge), 0) << Gauge;
+}
+
+//===----------------------------------------------------------------------===//
+// Edge pools: unfiltered targets in per-shard pools, filtered edges beside
+//===----------------------------------------------------------------------===//
+
+/// `go(p) { y = (A) p; y = (A) p; y = p; z = (A) p; }`: a filtered and an
+/// unfiltered edge p -> y, the filtered one made twice in one body, and a
+/// filtered p -> z. Two receivers dispatch to go, the second two rounds
+/// later, so the argument edge x -> p repeats across rounds. (A cast edge
+/// is made only by its method body, which runs once per context, so only
+/// unfiltered edges can repeat across rounds.) Each distinct (from, to,
+/// filter) edge counts once, y gets every value and z only the cast's.
+TEST(PointsToEdgeList, FilteredAndUnfilteredEdgesCountApart) {
+  SymbolTable Symbols;
+  Program P(Symbols);
+  TypeId Object =
+      P.addClass("java.lang.Object", TypeKind::Class, TypeId::invalid());
+  P.addClass("java.lang.String", TypeKind::Class, Object);
+  TypeId A = P.addClass("A", TypeKind::Class, Object);
+  TypeId ASub = P.addClass("ASub", TypeKind::Class, A);
+  TypeId Other = P.addClass("Other", TypeKind::Class, Object);
+  TypeId T = P.addClass("T", TypeKind::Class, Object);
+
+  MethodBuilder Go = P.addMethod(T, "go", {Object}, TypeId::invalid());
+  VarId Y = Go.local("y", Object), Z = Go.local("z", A);
+  Go.cast(Y, A, Go.param(0))
+      .cast(Y, A, Go.param(0))
+      .move(Y, Go.param(0))
+      .cast(Z, A, Go.param(0));
+
+  MethodBuilder Main = P.addMethod(T, "main", {}, TypeId::invalid(), true);
+  VarId X = Main.local("x", Object), R = Main.local("r", T);
+  VarId H = Main.local("h", T), M = Main.local("m", T);
+  Main.alloc(X, A)
+      .alloc(X, ASub)
+      .alloc(X, Other)
+      .alloc(R, T)
+      .alloc(H, T)
+      .move(M, H)
+      .move(R, M) // r gains h's object two rounds after its own
+      .virtualCall(VarId::invalid(), R, "go", {Object}, {X});
+  P.finalize();
+  // Distinct: h->m, m->r, x->p, throw(go)->catch(main), p->y unfiltered,
+  // p->y filtered, p->z filtered.
+  constexpr uint64_t DistinctEdges = 7;
+
+  std::unique_ptr<Solver> Base;
+  for (unsigned Threads : {1u, 8u}) {
+    SCOPED_TRACE("Threads=" + std::to_string(Threads));
+    auto S = std::make_unique<Solver>(P, SolverConfig{0, 0, Threads});
+    S->makeReachable(Main.id(), S->contexts().empty());
+    S->solve();
+    EXPECT_EQ(S->stats().EdgesAdded, DistinctEdges);
+    EXPECT_EQ(S->varPointsToSites(Y), S->varPointsToSites(X));
+    EXPECT_EQ(S->varPointsToSites(Z).size(), 2u);
+    for (AllocSiteId Site : S->varPointsToSites(Z))
+      EXPECT_NE(P.allocSite(Site).ObjectType, Other);
+    expectSetStoreInvariants(*S);
+    if (!Base) {
+      Base = std::move(S);
+      continue;
+    }
+    ASSERT_EQ(S->nodeCount(), Base->nodeCount());
+    for (uint32_t NI = 0; NI != S->nodeCount(); ++NI)
+      EXPECT_EQ(S->pointsTo(NodeId(NI)), Base->pointsTo(NodeId(NI)));
+    EXPECT_EQ(S->stats().Rounds, Base->stats().Rounds);
+  }
+}
+
+/// `x.f_i = y_i` for 130 sources y_i — more than the 64 shards, so every
+/// shard holds several. A plugin seeds x with a new object v_k per
+/// fixpoint, so each y_i gains the edge y_i -> v_k.f_i in each of K rounds.
+/// The lists of one shard grow in turn: each grown list that is not its
+/// pool's last moves to the pool's end, and the entries it leaves make the
+/// pools compact again and again. Beside them sit lists that never grow:
+/// `t_i = z_i`, one edge each, which every compaction must carry over to
+/// the right node. A last batch gives every y_i a second value u_i, which
+/// the phase then sends along y_i's whole list, and every z_i a value q_i.
+/// Sets and counters are what the program defines, and the edge pools hold
+/// at most twice the live edge bytes (without compaction, about K / 2
+/// times).
+TEST(PointsToEdgeList, PoolsCompactUnderInterleavedGrowth) {
+  constexpr uint32_t Sources = 130, K = 24;
+  DenseFixture F;
+  VarId X = F.Main.local("x", F.A);
+  std::vector<VarId> Ys, Zs, Ts;
+  for (uint32_t I = 0; I != Sources; ++I) {
+    Ys.push_back(F.Main.local("y" + std::to_string(I), F.Object));
+    F.Main.store(X, F.P.addField(F.A, "f" + std::to_string(I), F.Object),
+                 Ys.back());
+    Zs.push_back(F.Main.local("z" + std::to_string(I), F.Object));
+    Ts.push_back(F.Main.local("t" + std::to_string(I), F.Object));
+    F.Main.move(Ts.back(), Zs.back());
+  }
+  F.P.finalize();
+
+  auto SolveAt = [&](unsigned Threads, observe::MetricsRegistry &Registry) {
+    auto S = std::make_unique<Solver>(F.P, SolverConfig{0, 0, Threads});
+    const CtxId Empty = S->contexts().empty();
+    auto Intern = [&] {
+      return S->internValue(
+          F.P.addSyntheticObject(F.A, AllocKind::Generated, "<v>"), Empty);
+    };
+    std::vector<ValueId> Ws;
+    for (VarId Y : Ys) {
+      Ws.push_back(Intern());
+      S->seedVar(Y, Empty, Ws.back());
+    }
+    BatchSeeder Seeder;
+    Seeder.Check = [](Solver &, size_t) {};
+    for (uint32_t Round = 0; Round != K; ++Round)
+      Seeder.Batches.push_back({{X, Intern()}});
+    std::vector<ValueId> Us, Qs;
+    Seeder.Batches.emplace_back();
+    for (uint32_t I = 0; I != Sources; ++I) {
+      Us.push_back(Intern());
+      Qs.push_back(Intern());
+      Seeder.Batches.back().push_back({Ys[I], Us.back()});
+      Seeder.Batches.back().push_back({Zs[I], Qs.back()});
+    }
+    S->addPlugin(&Seeder);
+    S->setMetricsRegistry(&Registry);
+    S->makeReachable(F.Main.id(), Empty);
+    S->solve();
+
+    EXPECT_EQ(S->stats().EdgesAdded, uint64_t(Sources) * (K + 1));
+    EXPECT_EQ(S->stats().WorkItems,
+              4 * Sources + K + 2 * uint64_t(Sources) * K);
+    expectSetStoreInvariants(*S);
+    // y_i and its K field nodes v_k.f_i hold exactly {w_i, u_i}.
+    std::map<std::vector<uint32_t>, uint32_t> Holders;
+    for (uint32_t NI = 0; NI != S->nodeCount(); ++NI)
+      ++Holders[S->pointsTo(NodeId(NI)).toVector()];
+    for (uint32_t I = 0; I != Sources; ++I) {
+      EXPECT_EQ((Holders[{Ws[I].rawValue(), Us[I].rawValue()}]), K + 1)
+          << "source " << I;
+      const std::vector<NodeId> &TNodes = S->varInstances(Ts[I]);
+      EXPECT_EQ(TNodes.size(), 1u) << "source " << I;
+      for (NodeId T : TNodes)
+        EXPECT_EQ(S->pointsTo(T).toVector(),
+                  std::vector<uint32_t>{Qs[I].rawValue()})
+            << "source " << I;
+    }
+    EXPECT_LE(gaugeValue(Registry, "pointsto.bytes.edges"),
+              2.0 * sizeof(uint32_t) * S->stats().EdgesAdded);
+    return S;
+  };
+  observe::MetricsRegistry BaseRegistry, Registry;
+  std::unique_ptr<Solver> Base = SolveAt(1, BaseRegistry);
+  std::unique_ptr<Solver> S = SolveAt(8, Registry);
+  ASSERT_EQ(S->nodeCount(), Base->nodeCount());
+  for (uint32_t NI = 0; NI != S->nodeCount(); ++NI)
+    EXPECT_EQ(S->pointsTo(NodeId(NI)), Base->pointsTo(NodeId(NI)));
+  EXPECT_EQ(gaugeValue(Registry, "pointsto.bytes.edges"),
+            gaugeValue(BaseRegistry, "pointsto.bytes.edges"));
 }
 
 //===----------------------------------------------------------------------===//

@@ -182,7 +182,7 @@ TEST(EvaluatorProfileTest, DisabledKeepsNoProfiles) {
   EXPECT_TRUE(Eval.ruleProfiles().empty());
 }
 
-TEST(EvaluatorProfileTest, DeterministicCountersMatchAcrossThreadsAndPlans) {
+TEST(EvaluatorProfileTest, DeterministicCountersMatchAcrossPlans) {
   // Transitive closure on a small random graph: derivations and matches
   // per rule are engine invariants; only the plan-dependent "considered"
   // and fanout columns may move.
